@@ -2,10 +2,10 @@
 
 Wall-clock throughput of the two execution backends: the cycle-accurate
 SPMD engine (per-message Python generators, used to *validate* step
-counts) vs the vectorized whole-network backend (used to *scale*).
+counts) vs the default columnar whole-network backend (used to *scale*).
 
 Expected shape: both produce identical results and counters; the
-vectorized backend is orders of magnitude faster and its advantage grows
+columnar backend is orders of magnitude faster and its advantage grows
 with network size — the profile-then-vectorize workflow of the HPC
 guides applied to our own simulator.
 """
@@ -13,8 +13,8 @@ guides applied to our own simulator.
 import numpy as np
 import pytest
 
-from repro.core.dual_prefix import dual_prefix_engine, dual_prefix_vec
-from repro.core.dual_sort import dual_sort_engine, dual_sort_vec
+from repro.core.dual_prefix import dual_prefix, dual_prefix_engine
+from repro.core.dual_sort import dual_sort, dual_sort_engine
 from repro.core.ops import ADD
 from repro.topology import DualCube, RecursiveDualCube
 
@@ -32,7 +32,7 @@ class TestPrefixThroughput:
         benchmark.group = f"prefix D_{n}"
         dc = DualCube(n)
         vals = np.arange(dc.num_nodes)
-        out = benchmark(lambda: dual_prefix_vec(dc, vals, ADD))
+        out = benchmark(lambda: dual_prefix(dc, vals, ADD))
         assert out[-1] == dc.num_nodes * (dc.num_nodes - 1) // 2
 
 
@@ -49,7 +49,7 @@ class TestSortThroughput:
         benchmark.group = f"sort D_{n}"
         rdc = RecursiveDualCube(n)
         keys = np.random.default_rng(n).permutation(rdc.num_nodes)
-        out = benchmark(lambda: dual_sort_vec(rdc, keys))
+        out = benchmark(lambda: dual_sort(rdc, keys))
         assert list(out) == sorted(keys)
 
 
@@ -61,7 +61,7 @@ class TestVectorizedScaling:
         benchmark.group = "vectorized prefix scaling"
         dc = DualCube(n)
         vals = np.random.default_rng(n).integers(0, 1000, dc.num_nodes)
-        out = benchmark(lambda: dual_prefix_vec(dc, vals, ADD))
+        out = benchmark(lambda: dual_prefix(dc, vals, ADD))
         assert out[-1] == vals.sum()
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
@@ -69,5 +69,5 @@ class TestVectorizedScaling:
         benchmark.group = "vectorized sort scaling"
         rdc = RecursiveDualCube(n)
         keys = np.random.default_rng(n).permutation(rdc.num_nodes)
-        out = benchmark(lambda: dual_sort_vec(rdc, keys))
+        out = benchmark(lambda: dual_sort(rdc, keys))
         assert list(out) == list(range(rdc.num_nodes))

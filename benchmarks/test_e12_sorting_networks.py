@@ -93,7 +93,7 @@ def test_network_wallclock(benchmark, kind):
 def test_bitonic_network_agrees_with_dual_cube_sort(benchmark):
     """End to end: the comparator formulation, the hypercube schedule, and
     the dual-cube emulation all compute the same permutation."""
-    from repro.core.dual_sort import dual_sort_vec
+    from repro.core.dual_sort import dual_sort
     from repro.topology import RecursiveDualCube
 
     rdc = RecursiveDualCube(3)
@@ -101,7 +101,7 @@ def test_bitonic_network_agrees_with_dual_cube_sort(benchmark):
 
     def run():
         a = apply_network(keys, bitonic_sort_network(32))
-        b = dual_sort_vec(rdc, keys)
+        b = dual_sort(rdc, keys)
         return a, b
 
     a, b = benchmark(run)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro import ADD, DualCube, TraceRecorder
-from repro.core.dual_prefix import dual_prefix_vec
+from repro.core.dual_prefix import dual_prefix
 
 from benchmarks._util import emit
 
@@ -45,7 +45,7 @@ def test_figure3_panels(benchmark):
 
     def run():
         trace = TraceRecorder()
-        out = dual_prefix_vec(dc, values, ADD, trace=trace)
+        out = dual_prefix(dc, values, ADD, trace=trace)
         return out, trace
 
     out, trace = benchmark(run)
@@ -80,7 +80,7 @@ def test_figure3_under_engine_matches(benchmark):
 
     out, res, trace = benchmark(run)
     vec_trace = TraceRecorder()
-    dual_prefix_vec(dc, np.arange(1, 33), ADD, trace=vec_trace)
+    dual_prefix(dc, np.arange(1, 33), ADD, trace=vec_trace)
     for label, _ in PANELS:
         assert trace.snapshot(label, 32) == vec_trace.snapshot(label, 32), label
     assert res.comm_steps == 6  # 2n for n = 3

@@ -1,6 +1,6 @@
 """E4 — Theorem 1: D_prefix runs in at most 2n+1 comm / 2n comp steps.
 
-Measured on the cycle-accurate engine (n <= 4) and via the vectorized
+Measured on the cycle-accurate engine (n <= 4) and via the default columnar
 backend's identical counters (n <= 8), against the paper bound and the
 same-size hypercube baseline (2n-1 steps).
 
@@ -18,7 +18,7 @@ from repro.analysis.complexity import (
     theorem1_comp_bound,
 )
 from repro.analysis.tables import format_table
-from repro.core.dual_prefix import dual_prefix_engine, dual_prefix_vec
+from repro.core.dual_prefix import dual_prefix, dual_prefix_engine
 from repro.core.ops import ADD, CONCAT, MAX
 from repro.core.verify import check_prefix
 from repro.simulator import CostCounters
@@ -32,10 +32,10 @@ def measured_row(n: int):
     rng = np.random.default_rng(n)
     vals = rng.integers(0, 100, dc.num_nodes)
     c_opt = CostCounters(dc.num_nodes)
-    out = dual_prefix_vec(dc, vals, ADD, counters=c_opt)
+    out = dual_prefix(dc, vals, ADD, counters=c_opt)
     check_prefix(list(vals), out, ADD)
     c_lit = CostCounters(dc.num_nodes)
-    dual_prefix_vec(dc, vals, ADD, paper_literal=True, counters=c_lit)
+    dual_prefix(dc, vals, ADD, paper_literal=True, counters=c_lit)
     return (
         n,
         dc.num_nodes,
@@ -107,7 +107,7 @@ def test_steps_are_operation_independent(benchmark, op, maker):
 
     def run():
         c = CostCounters(32)
-        out = dual_prefix_vec(dc, vals, op, counters=c)
+        out = dual_prefix(dc, vals, op, counters=c)
         return out, c
 
     out, c = benchmark(run)

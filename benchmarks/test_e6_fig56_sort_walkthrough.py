@@ -15,7 +15,7 @@ import numpy as np
 
 from repro import RecursiveDualCube, TraceRecorder
 from repro.core.bitonic import is_bitonic
-from repro.core.dual_sort import dual_sort_schedule, dual_sort_vec
+from repro.core.dual_sort import dual_sort_schedule, dual_sort
 
 from benchmarks._util import emit, grid
 
@@ -26,7 +26,7 @@ def test_figures_5_and_6(benchmark):
 
     def run():
         trace = TraceRecorder()
-        out = dual_sort_vec(rdc, keys, trace=trace)
+        out = dual_sort(rdc, keys, trace=trace)
         return out, trace
 
     out, trace = benchmark(run)
@@ -65,7 +65,7 @@ def test_recursion_stage_directions(benchmark):
 
     def run():
         trace = TraceRecorder()
-        dual_sort_vec(rdc, keys, trace=trace)
+        dual_sort(rdc, keys, trace=trace)
         return trace
 
     trace = benchmark(run)

@@ -1,7 +1,7 @@
 """E7 — Theorem 2: D_sort runs in at most ~6n² comm / ~2n² comparison steps.
 
-Measured on the cycle-accurate engine (n <= 3) and via the vectorized
-backend's identical counters (n <= 7), against the paper bound
+Measured on the cycle-accurate engine (n <= 3) and via the default
+columnar backend's identical counters (n <= 7), against the paper bound
 6n² - 3n - 2 and the same-size hypercube bitonic baseline n(2n-1).
 
 Expected shape: the hypercube wins every row (it has 2n-1 links per node
@@ -20,8 +20,8 @@ from repro.analysis.complexity import (
     theorem2_comp_bound,
 )
 from repro.analysis.tables import format_table
-from repro.core.bitonic import hypercube_bitonic_sort_vec
-from repro.core.dual_sort import dual_sort_engine, dual_sort_vec
+from repro.core.bitonic import hypercube_bitonic_sort
+from repro.core.dual_sort import dual_sort, dual_sort_engine
 from repro.simulator import CostCounters
 from repro.topology import RecursiveDualCube
 
@@ -33,10 +33,10 @@ def measured_row(n: int):
     rng = np.random.default_rng(n)
     keys = rng.integers(0, 10**6, rdc.num_nodes)
     c = CostCounters(rdc.num_nodes)
-    out = dual_sort_vec(rdc, keys, counters=c)
+    out = dual_sort(rdc, keys, counters=c)
     assert list(out) == sorted(keys)
     ch = CostCounters(rdc.num_nodes)
-    hout = hypercube_bitonic_sort_vec(keys, counters=ch)
+    hout = hypercube_bitonic_sort(keys, counters=ch)
     assert list(hout) == sorted(keys)
     return (
         n,
@@ -95,7 +95,7 @@ def test_engine_validates_counts(benchmark, n, policy):
     out, res = benchmark(run)
     assert out == sorted(keys)
     c = CostCounters(rdc.num_nodes)
-    dual_sort_vec(rdc, np.array(keys), counters=c, payload_policy=policy)
+    dual_sort(rdc, np.array(keys), counters=c, payload_policy=policy)
     assert res.comm_steps == c.comm_steps
     assert res.counters.messages == c.messages
 
@@ -104,5 +104,5 @@ def test_wallclock_sort_scaling(benchmark):
     """Vectorized D_sort wall time at n = 6 (2048 nodes)."""
     rdc = RecursiveDualCube(6)
     keys = np.random.default_rng(0).permutation(rdc.num_nodes)
-    out = benchmark(lambda: dual_sort_vec(rdc, keys))
+    out = benchmark(lambda: dual_sort(rdc, keys))
     assert list(out) == list(range(rdc.num_nodes))

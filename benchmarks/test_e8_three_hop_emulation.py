@@ -105,7 +105,7 @@ def test_one_port_schedule_audit(benchmark, policy, expect_cycles):
 def test_policy_cost_comparison(benchmark):
     """Whole-sort cost under both payload policies (the reconstruction note)."""
     from repro.analysis.complexity import dual_sort_comm_exact, theorem2_comm_bound
-    from repro.core.dual_sort import dual_sort_vec
+    from repro.core.dual_sort import dual_sort
     from repro.simulator import CostCounters
 
     def rows():

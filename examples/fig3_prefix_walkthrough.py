@@ -10,7 +10,7 @@ Run:  python examples/fig3_prefix_walkthrough.py
 import numpy as np
 
 from repro import ADD, DualCube, TraceRecorder
-from repro.core.dual_prefix import dual_prefix_vec
+from repro.core.dual_prefix import dual_prefix
 
 CAPTIONS = {
     "(a) input": "Original data distribution (node u holds c[u*])",
@@ -39,7 +39,7 @@ def main() -> None:
     dc = DualCube(3)
     values = np.arange(1, 33)
     trace = TraceRecorder()
-    result = dual_prefix_vec(dc, values, ADD, trace=trace)
+    result = dual_prefix(dc, values, ADD, trace=trace)
 
     print("Prefix_sum([1,2,...,32]) =")
     print(f"  {list(result)}")

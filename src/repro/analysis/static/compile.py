@@ -20,7 +20,7 @@ Two plan shapes cover the core algorithms:
   Batcher's bitonic network).  Each
   :class:`~repro.core.dual_sort.ScheduleStep` compiles to a
   :class:`CompiledStep` carrying the partner permutation and keep-min
-  mask that the vectorized executor would otherwise recompute per step.
+  mask that a gather-based executor would otherwise recompute per step.
 
 Compilation is *structural* (no abstract interpretation), which keeps it
 O(steps x nodes) and viable at D_9+.  To keep the structural compiler
@@ -125,7 +125,7 @@ class CompiledStep:
 
     ``step`` keeps the original :class:`~repro.core.dual_sort.ScheduleStep`
     so the executor can charge counters through the same accounting
-    helpers as the vectorized backend.
+    helpers as the columnar backend.
     """
 
     index: int

@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.dual_sort import dual_sort_vec
+from repro.core.dual_sort import dual_sort
 from repro.simulator import CostCounters
 from repro.topology.recursive import RecursiveDualCube
 
@@ -26,7 +26,7 @@ def _sorted_keys(
         raise ValueError(
             f"expected {rdc.num_nodes} keys for {rdc.name}, got shape {arr.shape}"
         )
-    return dual_sort_vec(rdc, arr, counters=counters)
+    return dual_sort(rdc, arr, counters=counters)
 
 
 def parallel_quantiles(

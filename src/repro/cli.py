@@ -24,8 +24,8 @@ from repro.analysis.complexity import (
     theorem2_comp_bound,
 )
 from repro.analysis.tables import format_table
-from repro.core.dual_prefix import dual_prefix_vec
-from repro.core.dual_sort import dual_sort_vec
+from repro.core.dual_prefix import dual_prefix
+from repro.core.dual_sort import dual_sort
 from repro.core.ops import ADD
 from repro.routing.dualcube_routing import route
 from repro.simulator import CostCounters
@@ -100,7 +100,7 @@ def _cmd_prefix(args) -> int:
     rng = np.random.default_rng(args.seed)
     vals = rng.integers(0, 100, dc.num_nodes)
     counters = CostCounters(dc.num_nodes)
-    out = dual_prefix_vec(dc, vals, ADD, counters=counters)
+    out = dual_prefix(dc, vals, ADD, counters=counters)
     print(f"input : {[int(v) for v in vals[: args.show]]}...")
     print(f"prefix: {[int(v) for v in out[: args.show]]}...")
     print(
@@ -116,7 +116,7 @@ def _cmd_sort(args) -> int:
     rng = np.random.default_rng(args.seed)
     keys = rng.permutation(rdc.num_nodes)
     counters = CostCounters(rdc.num_nodes)
-    out = dual_sort_vec(rdc, keys, counters=counters)
+    out = dual_sort(rdc, keys, counters=counters)
     ok = list(out) == sorted(keys)
     print(f"keys  : {[int(v) for v in keys[: args.show]]}...")
     print(f"sorted: {[int(v) for v in out[: args.show]]}...  ({'ok' if ok else 'WRONG'})")
@@ -288,10 +288,11 @@ def _cmd_bench(args) -> int:
         default_out = "BENCH_core.json"
     out = args.out or default_out
 
-    # Load the comparison baseline *before* writing: --compare pointed at
-    # the output path itself (the usual CI idiom) must gate against the
-    # committed baseline, not the file this run just overwrote.  A missing
-    # baseline is a first run, not a regression.
+    # Compare before writing, and write only a run that passes: with
+    # --compare pointed at the output path itself (the usual CI idiom) a
+    # regressing run must leave the committed baseline untouched, or the
+    # rerun would pass against the regressed numbers.  A missing baseline
+    # is a first run, not a regression.
     previous = None
     if args.compare:
         if Path(args.compare).exists():
@@ -307,8 +308,6 @@ def _cmd_bench(args) -> int:
         # A full columnar, replay, serving or campaign sweep lands next to
         # the core suite's records instead of clobbering them.
         payload = merge_bench(load_bench(out), payload)
-    path = write_bench(payload, out)
-    print(f"wrote {path} ({len(payload['records'])} records)")
 
     if previous is not None:
         problems = compare_bench(
@@ -318,7 +317,11 @@ def _cmd_bench(args) -> int:
             print(f"\nREGRESSIONS vs {args.compare}:")
             for p in problems:
                 print(f"  - {p}")
+            print(f"not writing {out}")
             return 1
+    path = write_bench(payload, out)
+    print(f"wrote {path} ({len(payload['records'])} records)")
+    if previous is not None:
         print(f"no regressions vs {args.compare}")
     return 0
 
@@ -1038,9 +1041,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=["core", "columnar", "replay", "serving", "campaign"],
         default="core",
-        help="core = vectorized+engine suite; columnar = structured-array "
-             "backend sweep to D_11; replay = compiled-plan backend sweep "
-             "plus one sharded row; serving = open-loop queueing scenarios; "
+        help="core = engine, traffic and fault suite; columnar = "
+             "structured-array backend sweep to D_11; replay = "
+             "compiled-plan backend sweep plus one sharded row; "
+             "serving = open-loop queueing scenarios; "
              "campaign = randomized SLO fault-campaign sweep "
              "(full runs merge into BENCH_core.json)",
     )

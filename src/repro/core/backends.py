@@ -20,19 +20,20 @@ wording.  The registry is the single source of truth:
 The REP007 lint rule enforces the monopoly: inline ``backend == "..."``
 string comparisons are forbidden everywhere outside this module.
 
-Four backends exist (not every entry point has all four):
+Three backends exist (the large-input entry points have no engine):
 
 =============  ==============================================================
+``columnar``   the default: structured-array state, in-place reshape-view
+               combines, D_1 to D_11; honours counters, trace and profiler
 ``engine``     per-rank generator programs on the cycle-accurate simulator;
                returns ``(result_array, EngineResult)``
-``vectorized`` whole-network numpy arrays, gather permutations per step
-``columnar``   structured-array state, in-place reshape-view combines
-               (the D_9-D_11 scale backend)
 ``replay``     straight-line plans compiled from the extracted
                :class:`~repro.analysis.static.schedule.CommSchedule`
                (:mod:`repro.core.replay`); optional per-cluster
                multiprocessing sharding for the prefix algorithms
 =============  ==============================================================
+
+Every entry point's ``backend=`` default is ``"columnar"``.
 """
 
 from __future__ import annotations
@@ -51,8 +52,8 @@ __all__ = [
 
 # Every optional feature a backend may honor, with the reason text used
 # when a caller requests it from a backend that does not.  The trace
-# wording is pinned by tests (the columnar suite matches on "no per-rank
-# values to trace").
+# wording is pinned by tests (they match on "no per-rank values to
+# trace").
 _FEATURE_REASONS = {
     "counters": (
         "takes no external counters (the returned EngineResult carries "
@@ -103,19 +104,6 @@ class BackendSpec:
 # -- runner adapters (lazy imports; one shared surface per entry point) --------
 
 
-def _dual_prefix_vectorized() -> Callable:
-    from repro.core.dual_prefix import dual_prefix_vec
-
-    def run(dc, values, op, *, inclusive, paper_literal, counters, trace,
-            profiler, shards):
-        return dual_prefix_vec(
-            dc, values, op, inclusive=inclusive, paper_literal=paper_literal,
-            counters=counters, trace=trace, profiler=profiler,
-        )
-
-    return run
-
-
 def _dual_prefix_engine() -> Callable:
     from repro.core.dual_prefix import dual_prefix_engine
 
@@ -136,7 +124,7 @@ def _dual_prefix_columnar() -> Callable:
             profiler, shards):
         return dual_prefix_columnar(
             dc, values, op, inclusive=inclusive, paper_literal=paper_literal,
-            counters=counters,
+            counters=counters, trace=trace, profiler=profiler,
         )
 
     return run
@@ -150,19 +138,6 @@ def _dual_prefix_replay() -> Callable:
         return dual_prefix_replay(
             dc, values, op, inclusive=inclusive, paper_literal=paper_literal,
             counters=counters, shards=shards,
-        )
-
-    return run
-
-
-def _dual_sort_vectorized() -> Callable:
-    from repro.core.dual_sort import dual_sort_vec
-
-    def run(rdc, keys, *, descending, payload_policy, counters, trace,
-            profiler):
-        return dual_sort_vec(
-            rdc, keys, descending=descending, payload_policy=payload_policy,
-            counters=counters, trace=trace, profiler=profiler,
         )
 
     return run
@@ -188,7 +163,7 @@ def _dual_sort_columnar() -> Callable:
             profiler):
         return dual_sort_columnar(
             rdc, keys, descending=descending, payload_policy=payload_policy,
-            counters=counters,
+            counters=counters, trace=trace, profiler=profiler,
         )
 
     return run
@@ -202,17 +177,6 @@ def _dual_sort_replay() -> Callable:
         return dual_sort_replay(
             rdc, keys, descending=descending, payload_policy=payload_policy,
             counters=counters,
-        )
-
-    return run
-
-
-def _large_prefix_vectorized() -> Callable:
-    from repro.core.large_inputs import large_prefix_vec
-
-    def run(dc, values, op, *, counters, profiler, shards):
-        return large_prefix_vec(
-            dc, values, op, counters=counters, profiler=profiler
         )
 
     return run
@@ -236,18 +200,6 @@ def _large_prefix_replay() -> Callable:
         return large_prefix_replay(
             dc, values, op, counters=counters, profiler=profiler,
             shards=shards,
-        )
-
-    return run
-
-
-def _large_sort_vectorized() -> Callable:
-    from repro.core.large_inputs import large_sort_vec
-
-    def run(rdc, keys, *, descending, payload_policy, counters, profiler):
-        return large_sort_vec(
-            rdc, keys, descending=descending, payload_policy=payload_policy,
-            counters=counters, profiler=profiler,
         )
 
     return run
@@ -277,17 +229,6 @@ def _large_sort_replay() -> Callable:
     return run
 
 
-def _bitonic_vectorized() -> Callable:
-    from repro.core.bitonic import hypercube_bitonic_sort_vec
-
-    def run(keys, *, descending, counters, trace):
-        return hypercube_bitonic_sort_vec(
-            keys, descending=descending, counters=counters, trace=trace
-        )
-
-    return run
-
-
 def _bitonic_engine() -> Callable:
     from repro.core.bitonic import _sort_cube, hypercube_bitonic_sort_engine
 
@@ -306,7 +247,7 @@ def _bitonic_columnar() -> Callable:
 
     def run(keys, *, descending, counters, trace):
         return hypercube_bitonic_sort_columnar(
-            keys, descending=descending, counters=counters
+            keys, descending=descending, counters=counters, trace=trace
         )
 
     return run
@@ -343,47 +284,36 @@ def _spec(entry: str, name: str, features, returns: str, description: str,
 
 _REGISTRY: dict[str, dict[str, BackendSpec]] = {}
 for _s in (
-    _spec("dual_prefix", "vectorized", ("counters", "trace", "profiler"),
-          _ARRAY, "numpy gathers per round (default)",
-          _dual_prefix_vectorized),
+    _spec("dual_prefix", "columnar", ("counters", "trace", "profiler"),
+          _ARRAY, "structured-array in-place combines (default)",
+          _dual_prefix_columnar),
     _spec("dual_prefix", "engine", ("trace",), _PAIR,
           "cycle-accurate SPMD generators", _dual_prefix_engine),
-    _spec("dual_prefix", "columnar", ("counters",), _ARRAY,
-          "structured-array in-place combines (D_9-D_11)",
-          _dual_prefix_columnar),
     _spec("dual_prefix", "replay", ("counters", "shards"), _ARRAY,
           "compiled straight-line plan; optional per-cluster sharding",
           _dual_prefix_replay),
-    _spec("dual_sort", "vectorized", ("counters", "trace", "profiler"),
-          _ARRAY, "numpy gathers per compare-exchange step (default)",
-          _dual_sort_vectorized),
+    _spec("dual_sort", "columnar", ("counters", "trace", "profiler"),
+          _ARRAY, "reshape-view compare-exchanges (default)",
+          _dual_sort_columnar),
     _spec("dual_sort", "engine", ("trace",), _PAIR,
           "cycle-accurate SPMD generators", _dual_sort_engine),
-    _spec("dual_sort", "columnar", ("counters",), _ARRAY,
-          "reshape-view compare-exchanges (D_9-D_11)", _dual_sort_columnar),
     _spec("dual_sort", "replay", ("counters",), _ARRAY,
           "compiled straight-line compare-exchange plan", _dual_sort_replay),
-    _spec("large_prefix", "vectorized", ("counters", "profiler"), _ARRAY,
-          "blocked numpy prefix (default)", _large_prefix_vectorized),
     _spec("large_prefix", "columnar", ("counters", "profiler"), _ARRAY,
-          "blocked structured-array prefix (D_9-D_11)",
+          "blocked structured-array prefix (default)",
           _large_prefix_columnar),
     _spec("large_prefix", "replay", ("counters", "profiler", "shards"),
           _ARRAY, "compiled network phase; optional per-cluster sharding",
           _large_prefix_replay),
-    _spec("large_sort", "vectorized", ("counters", "profiler"), _ARRAY,
-          "blocked merge-split sort (default)", _large_sort_vectorized),
     _spec("large_sort", "columnar", ("counters", "profiler"), _ARRAY,
-          "blocked reshape-view merge-splits (D_9-D_11)",
+          "blocked reshape-view merge-splits (default)",
           _large_sort_columnar),
     _spec("large_sort", "replay", ("counters", "profiler"), _ARRAY,
           "compiled merge-split plan", _large_sort_replay),
-    _spec("bitonic", "vectorized", ("counters", "trace"), _ARRAY,
-          "numpy Batcher network (default)", _bitonic_vectorized),
+    _spec("bitonic", "columnar", ("counters", "trace"), _ARRAY,
+          "reshape-view Batcher network (default)", _bitonic_columnar),
     _spec("bitonic", "engine", ("trace",), _PAIR,
           "cycle-accurate SPMD generators", _bitonic_engine),
-    _spec("bitonic", "columnar", ("counters",), _ARRAY,
-          "reshape-view Batcher network", _bitonic_columnar),
     _spec("bitonic", "replay", ("counters",), _ARRAY,
           "compiled straight-line Batcher plan", _bitonic_replay),
 ):

@@ -19,11 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.dual_sort import (
-    ScheduleStep,
-    execute_schedule_engine,
-    execute_schedule_vec,
-)
+from repro.core.dual_sort import ScheduleStep, execute_schedule_engine
 from repro.simulator import CostCounters, TraceRecorder
 from repro.topology.hypercube import Hypercube
 
@@ -31,7 +27,6 @@ __all__ = [
     "is_bitonic",
     "bitonic_schedule",
     "hypercube_bitonic_sort",
-    "hypercube_bitonic_sort_vec",
     "hypercube_bitonic_sort_engine",
     "hypercube_bitonic_sort_columnar",
 ]
@@ -91,40 +86,29 @@ def bitonic_schedule(q: int, *, descending: bool = False) -> list[ScheduleStep]:
     return steps
 
 
-def hypercube_bitonic_sort_vec(
+def hypercube_bitonic_sort_columnar(
     keys,
     *,
     descending: bool = False,
     counters: CostCounters | None = None,
     trace: TraceRecorder | None = None,
 ) -> np.ndarray:
-    """Vectorized Batcher bitonic sort of ``2**q`` keys (the E7 baseline)."""
-    arr = np.asarray(keys)
-    cube = _sort_cube(len(arr))
-    sched = bitonic_schedule(cube.q, descending=descending)
-    return execute_schedule_vec(cube, arr, sched, counters=counters, trace=trace)
+    """Columnar Batcher bitonic sort of ``2**q`` keys (the E7 baseline).
 
-
-def hypercube_bitonic_sort_columnar(
-    keys,
-    *,
-    descending: bool = False,
-    counters: CostCounters | None = None,
-) -> np.ndarray:
-    """Columnar Batcher bitonic sort of ``2**q`` keys.
-
-    Results and counters mirror :func:`hypercube_bitonic_sort_vec`
-    exactly; the schedule executes through
+    The schedule executes through
     :func:`~repro.core.columnar.execute_schedule_columnar`'s in-place
     reshape views (every hypercube dimension is direct, so the executor's
-    dual-cube relay machinery never engages).
+    dual-cube relay machinery never engages); results, counters and
+    traces mirror :func:`hypercube_bitonic_sort_engine` exactly.
     """
     from repro.core.columnar import execute_schedule_columnar
 
     arr = np.asarray(keys)
     cube = _sort_cube(len(arr))
     sched = bitonic_schedule(cube.q, descending=descending)
-    return execute_schedule_columnar(cube, arr, sched, counters=counters)
+    return execute_schedule_columnar(
+        cube, arr, sched, counters=counters, trace=trace
+    )
 
 
 def hypercube_bitonic_sort_engine(
@@ -143,13 +127,13 @@ def hypercube_bitonic_sort(
     keys,
     *,
     descending: bool = False,
-    backend: str = "vectorized",
+    backend: str = "columnar",
     counters: CostCounters | None = None,
     trace: TraceRecorder | None = None,
 ):
     """Bitonic sort on the hypercube (baseline public entry point).
 
-    ``backend`` selects ``"vectorized"``, ``"columnar"``, ``"replay"``
+    ``backend`` selects ``"columnar"`` (the default), ``"replay"``
     (identical results and counters), or ``"engine"`` (cycle-accurate;
     returns ``(keys, EngineResult)``); capabilities are declared in
     :mod:`repro.core.backends`.

@@ -1,9 +1,10 @@
-"""Columnar backend: D_prefix / D_sort / large-input variants at scale.
+"""Columnar backend: D_prefix / D_sort / large-input variants.
 
 # repro: columnar-hot-path
 
-Third execution backend next to the cycle-accurate engine and the
-vectorized backend.  All per-rank state lives in numpy structured arrays
+The default array backend of every entry point, next to the
+cycle-accurate engine and the compiled-plan replay backend.  All per-rank
+state lives in numpy structured arrays
 (:class:`~repro.simulator.columnar.ColumnarState`) and every
 dimension-step executes as one batched in-place combine over reshape
 views (:func:`~repro.simulator.columnar.bit_pair_views`) — no per-rank
@@ -25,14 +26,15 @@ Two structural facts carry the whole backend:
   ascending/descending × lower/upper quarters and both merge directions
   apply as in-place ``minimum``/``maximum`` with a scratch column.
 
-Cost accounting is call-for-call identical to the vectorized backend
-(which matches the engine): the same
+Cost accounting matches the engine call for call: the same
 :meth:`~repro.simulator.counters.CostCounters.record_comm_step` /
 :meth:`~repro.simulator.counters.CostCounters.record_comp_step`
 sequence, so comm/comp step counts, message and payload tallies — and
 any timeline attached via ``counters.attach_timeline`` — agree exactly
-with the engine and the static :class:`CommSchedule`.  Memory stays
-O(nodes) (O(N) for the large-input variants).
+with the engine and the static :class:`CommSchedule`.  The state columns
+are in node order, so ``trace`` snapshots are the columns themselves and
+carry the engine's labels; ``profiler`` spans name the algorithm
+segments.  Memory stays O(nodes) (O(N) for the large-input variants).
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.arrangement import arranged_index_v
-from repro.core.ops import AssocOp, combine_into
-from repro.simulator import CostCounters
+from repro.core.ops import AssocOp, _state_dtype, combine_into
+from repro.obs.profile import NULL_PROFILER
+from repro.simulator import CostCounters, TraceRecorder
 from repro.simulator.columnar import (
     ColumnarState,
     bit_pair_views,
@@ -57,15 +60,6 @@ __all__ = [
     "large_prefix_columnar",
     "large_sort_columnar",
 ]
-
-
-def _state_dtype(vals: np.ndarray, op: AssocOp | None) -> np.dtype:
-    """Column dtype able to hold inputs, identities and combine results."""
-    if vals.dtype == object or (op is not None and op.ufunc is None):
-        return np.dtype(object)
-    if op is None:
-        return vals.dtype
-    return np.result_type(vals.dtype, np.asarray(op.identity).dtype)
 
 
 def _fill_identity(col: np.ndarray, op: AssocOp) -> None:
@@ -109,15 +103,23 @@ def dual_prefix_columnar(
     inclusive: bool = True,
     paper_literal: bool = False,
     counters: CostCounters | None = None,
+    trace: TraceRecorder | None = None,
+    profiler=None,
 ) -> np.ndarray:
     """Columnar Algorithm 2; returns prefixes in input-index order.
 
-    Step-for-step mirror of :func:`~repro.core.dual_prefix.dual_prefix_vec`
+    Step-for-step mirror of :func:`~repro.core.dual_prefix.dual_prefix_engine`
     — identical results and identical counter call sequence — with all
     four algorithm variables (``t``, ``s``, ``t'``, ``s'``) as columns of
     one structured array and every round an in-place pair-view combine.
-    The only O(nodes) index arrays are the input/output arrangement
-    permutations; no per-step gathers exist at all.
+    The only O(nodes) index array is the arrangement permutation, built
+    once per call; no per-step gathers exist at all.
+
+    ``trace`` records the engine program's ``(a)``-``(f)`` snapshots;
+    ``profiler`` (a :class:`~repro.obs.profile.PhaseProfiler`) records
+    wallclock spans for the algorithm's four segments: ``cluster-prefix``
+    (step 1), ``cross`` (the cross-edge exchanges), ``block-prefix``
+    (step 3), and ``fold`` (steps 4-5).
     """
     vals = np.asarray(values)
     n = dc.num_nodes
@@ -131,6 +133,7 @@ def dual_prefix_columnar(
             f"(got dimension {dc.class_dimension} of {dc.num_dimensions})"
         )
     m = dc.cluster_dim
+    prof = profiler if profiler is not None else NULL_PROFILER
     dt = _state_dtype(vals, op)
     state = ColumnarState(n, [("t", dt), ("s", dt), ("t2", dt), ("s2", dt)])
     t = state.column("t")
@@ -138,48 +141,69 @@ def dual_prefix_columnar(
     t2 = state.column("t2")
     s2 = state.column("s2")
 
-    t[...] = vals[arranged_index_v(dc)]
-    if inclusive:
-        s[...] = t
-    else:
-        _fill_identity(s, op)
+    def snap(label, col):
+        if trace is not None:
+            trace.record_array(label, col)
+
+    arranged = arranged_index_v(dc)
+    t[...] = vals[arranged]
+    snap("(a) input", t)
 
     # Step 1: inclusive/diminished Cube_prefix inside every cluster.
-    for i in range(m):
-        _ascend_round(op, t, s, dc, i, counters)
+    with prof.span("cluster-prefix", rounds=m):
+        if inclusive:
+            s[...] = t
+        else:
+            _fill_identity(s, op)
+        for i in range(m):
+            _ascend_round(op, t, s, dc, i, counters)
+    snap("(b) cluster prefix s", s)
+    snap("(b) cluster total t", t)
 
     # Step 2: block totals cross the class boundary (t2 <- t over the
     # cross-edges, which swap the two class halves).
-    swap_halves(t, t2)
-    if counters is not None:
-        counters.record_comm_step(messages=n)
+    with prof.span("cross"):
+        swap_halves(t, t2)
+        if counters is not None:
+            counters.record_comm_step(messages=n)
+    snap("(c) cross total temp", t2)
 
     # Step 3: diminished prefix of the other class's block totals.
-    _fill_identity(s2, op)
-    for i in range(m):
-        _ascend_round(op, t2, s2, dc, i, counters)
+    with prof.span("block-prefix", rounds=m):
+        _fill_identity(s2, op)
+        for i in range(m):
+            _ascend_round(op, t2, s2, dc, i, counters)
+    snap("(d) block-prefix s'", s2)
+    snap("(d) half total t'", t2)
 
     # Step 4: earlier-block composition returns over the cross-edge and
     # pre-folds into s.  t is dead after step 2; reuse it as the receive
     # buffer.
-    swap_halves(s2, t)
-    if counters is not None:
-        counters.record_comm_step(messages=n)
-        counters.record_comp_step(ops_each=1)
-    combine_into(op, t, s, s)
+    with prof.span("cross"):
+        swap_halves(s2, t)
+        if counters is not None:
+            counters.record_comm_step(messages=n)
+            counters.record_comp_step(ops_each=1)
+    with prof.span("fold"):
+        combine_into(op, t, s, s)
+    snap("(e) after s' fold", s)
 
     # Step 5 (paper-literal: one redundant cross exchange, counted only —
     # see the dual_prefix module docstring), then the class-1 pre-fold of
     # the first-half total, which is exactly class-1's own t'.
-    if paper_literal and counters is not None:
-        counters.record_comm_step(messages=n)
-    cls1 = dc.class_slices()[1]
-    combine_into(op, t2[cls1], s[cls1], s[cls1])
-    if counters is not None:
-        counters.record_comp_step(ops_each=1, ranks=range(cls1.start, cls1.stop))
+    with prof.span("fold"):
+        if paper_literal and counters is not None:
+            counters.record_comm_step(messages=n)
+        cls1 = dc.class_slices()[1]
+        combine_into(op, t2[cls1], s[cls1], s[cls1])
+        if counters is not None:
+            counters.record_comp_step(
+                ops_each=1, ranks=range(cls1.start, cls1.stop)
+            )
+    snap("(f) final prefix", s)
 
     out = np.empty(n, dtype=dt)
-    out[arranged_index_v(dc)] = s
+    out[arranged] = s
     return out
 
 
@@ -196,7 +220,7 @@ def _merge_pair(
     lo[...] = scratch
 
 
-def _columnar_compare_exchange(key, tmp, step, num_nodes: int) -> None:
+def _columnar_compare_exchange(key, tmp, step) -> None:
     """One schedule step on the key column, fully in place."""
     j = step.dim
     if step.dir_kind == "const":
@@ -238,15 +262,20 @@ def execute_schedule_columnar(
     *,
     payload_policy: str = "packed",
     counters: CostCounters | None = None,
+    trace: TraceRecorder | None = None,
+    profiler=None,
 ) -> np.ndarray:
     """Columnar compare-exchange schedule executor.
 
     Results and counters mirror
-    :func:`~repro.core.dual_sort.execute_schedule_vec` exactly; state is
-    one key column plus one scratch column, and each
+    :func:`~repro.core.dual_sort.execute_schedule_engine` exactly; state
+    is one key column plus one scratch column, and each
     :class:`~repro.core.dual_sort.ScheduleStep` applies as in-place
     ``minimum``/``maximum`` over reshape views split by the step's pair
-    dimension and direction bit.
+    dimension and direction bit.  ``trace`` records the engine program's
+    ``"input"`` and per-step snapshots; ``profiler`` (a
+    :class:`~repro.obs.profile.PhaseProfiler`) records one wallclock span
+    per step, named by the step's recursion segment (``step.phase``).
     """
     from repro.core.dual_sort import _check_policy, _count_step
 
@@ -257,15 +286,22 @@ def execute_schedule_columnar(
         raise ValueError(
             f"expected {n} keys for {topo.name}, got shape {arr.shape}"
         )
-    dt = _state_dtype(arr, None)
-    state = ColumnarState(n, [("key", dt), ("tmp", dt)])
+    prof = profiler if profiler is not None else NULL_PROFILER
+    state = ColumnarState(n, [("key", arr.dtype), ("tmp", arr.dtype)])
     key = state.column("key")
     key[...] = arr
     tmp = state.column("tmp")
-    for step in schedule:
-        _columnar_compare_exchange(key, tmp, step, n)
-        if counters is not None:
-            _count_step(counters, topo, step.dim, n, payload_policy)
+    if trace is not None:
+        trace.record_array("input", key)
+    for k, step in enumerate(schedule):
+        with prof.span(step.phase, step=k, dim=step.dim):
+            _columnar_compare_exchange(key, tmp, step)
+            if counters is not None:
+                _count_step(counters, topo, step.dim, n, payload_policy)
+        if trace is not None:
+            trace.record_array(
+                f"step {k:03d} dim {step.dim} [{step.phase}]", key
+            )
     return key.copy()
 
 
@@ -276,13 +312,16 @@ def dual_sort_columnar(
     descending: bool = False,
     payload_policy: str = "packed",
     counters: CostCounters | None = None,
+    trace: TraceRecorder | None = None,
+    profiler=None,
 ) -> np.ndarray:
     """Columnar Algorithm 3; returns keys sorted in node-address order."""
     from repro.core.dual_sort import dual_sort_schedule
 
     sched = dual_sort_schedule(rdc.n, descending=descending)
     return execute_schedule_columnar(
-        rdc, keys, sched, payload_policy=payload_policy, counters=counters
+        rdc, keys, sched, payload_policy=payload_policy, counters=counters,
+        trace=trace, profiler=profiler,
     )
 
 
@@ -303,7 +342,6 @@ def large_prefix_columnar(
     :func:`dual_prefix_columnar` on the block totals.
     """
     from repro.core.large_inputs import _blocked
-    from repro.obs.profile import NULL_PROFILER
 
     blocks, b = _blocked(values, dc.num_nodes)
     prof = profiler if profiler is not None else NULL_PROFILER
@@ -363,7 +401,6 @@ def large_sort_columnar(
     """
     from repro.core.dual_sort import _check_policy, dual_sort_schedule
     from repro.core.large_inputs import _blocked, _count_block_step, _local_sort_ops
-    from repro.obs.profile import NULL_PROFILER
 
     _check_policy(payload_policy)
     blocks, b = _blocked(keys, rdc.num_nodes)

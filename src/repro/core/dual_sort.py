@@ -13,7 +13,7 @@ presentation:
   dimensions 2n-2..0 directed by ``tag``.
 
 Because the algorithm is oblivious, the whole recursion unrolls into a
-flat list of :class:`ScheduleStep` — 2n² - n steps — executed by either
+flat list of :class:`ScheduleStep` — 2n² - n steps — executed by every
 backend.  The same executor runs Batcher's network on the hypercube
 (:mod:`repro.core.bitonic`), so baseline and dual-cube sorts differ *only*
 in topology and schedule, which is exactly what Theorem 2 compares.
@@ -36,7 +36,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.obs.profile import NULL_PROFILER
 from repro.simulator import (
     CostCounters,
     Idle,
@@ -55,9 +54,7 @@ __all__ = [
     "dual_sort_schedule",
     "schedule_program",
     "execute_schedule_engine",
-    "execute_schedule_vec",
     "dual_sort_engine",
-    "dual_sort_vec",
     "dual_sort",
     "step_cycle_cost",
 ]
@@ -246,62 +243,6 @@ def execute_schedule_engine(
     return list(result.returns), result
 
 
-def _elementwise_minmax(arr: np.ndarray, other: np.ndarray):
-    """Elementwise (min, max) supporting object arrays of orderables."""
-    if arr.dtype == object or other.dtype == object:
-        lo = np.empty(len(arr), dtype=object)
-        hi = np.empty(len(arr), dtype=object)
-        for k, (a, b) in enumerate(zip(arr, other)):
-            if b < a:
-                lo[k], hi[k] = b, a
-            else:
-                lo[k], hi[k] = a, b
-        return lo, hi
-    return np.minimum(arr, other), np.maximum(arr, other)
-
-
-def execute_schedule_vec(
-    topo: DimensionedTopology,
-    keys,
-    schedule: Sequence[ScheduleStep],
-    *,
-    payload_policy: str = "packed",
-    counters: CostCounters | None = None,
-    trace: TraceRecorder | None = None,
-    profiler=None,
-) -> np.ndarray:
-    """Vectorized schedule executor (cost counters mirror the engine's cycles).
-
-    ``profiler`` (a :class:`~repro.obs.profile.PhaseProfiler`) records one
-    wallclock span per :class:`ScheduleStep`, named by the step's
-    recursion segment (``step.phase``) so per-phase totals fall out of
-    :meth:`~repro.obs.profile.PhaseProfiler.totals`.
-    """
-    _check_policy(payload_policy)
-    arr = np.asarray(keys).copy()
-    n = topo.num_nodes
-    if arr.shape != (n,):
-        raise ValueError(
-            f"expected {n} keys for {topo.name}, got shape {arr.shape}"
-        )
-    prof = profiler if profiler is not None else NULL_PROFILER
-    idx = np.arange(n, dtype=np.int64)
-    if trace is not None:
-        trace.record_array("input", arr)
-    for k, step in enumerate(schedule):
-        with prof.span(step.phase, step=k, dim=step.dim):
-            partner = idx ^ (1 << step.dim)
-            pk = arr[partner]
-            keep_min = ((idx >> step.dim) & 1 == 0) != step.descending_mask(idx)
-            lo, hi = _elementwise_minmax(arr, pk)
-            arr = np.where(keep_min, lo, hi)
-            if counters is not None:
-                _count_step(counters, topo, step.dim, n, payload_policy)
-            if trace is not None:
-                trace.record_array(f"step {k:03d} dim {step.dim} [{step.phase}]", arr)
-    return arr
-
-
 def _count_step(
     counters: CostCounters,
     topo: DimensionedTopology,
@@ -350,35 +291,12 @@ def dual_sort_engine(
     )
 
 
-def dual_sort_vec(
-    rdc: RecursiveDualCube,
-    keys,
-    *,
-    descending: bool = False,
-    payload_policy: str = "packed",
-    counters: CostCounters | None = None,
-    trace: TraceRecorder | None = None,
-    profiler=None,
-) -> np.ndarray:
-    """Vectorized Algorithm 3; returns keys sorted in node-address order."""
-    sched = dual_sort_schedule(rdc.n, descending=descending)
-    return execute_schedule_vec(
-        rdc,
-        keys,
-        sched,
-        payload_policy=payload_policy,
-        counters=counters,
-        trace=trace,
-        profiler=profiler,
-    )
-
-
 def dual_sort(
     rdc: RecursiveDualCube,
     keys,
     *,
     descending: bool = False,
-    backend: str = "vectorized",
+    backend: str = "columnar",
     payload_policy: str = "packed",
     counters: CostCounters | None = None,
     trace: TraceRecorder | None = None,
@@ -386,13 +304,14 @@ def dual_sort(
 ):
     """Sorting on the dual-cube — the library's headline entry point.
 
-    ``backend`` selects ``"vectorized"`` (fast; returns the sorted array),
-    ``"columnar"`` (structured-array state, in-place view compare-exchange;
-    reaches D_9-D_11), ``"replay"`` (compiled straight-line plan; fastest
-    on repeat runs), or ``"engine"`` (cycle-accurate; returns
+    ``backend`` selects ``"columnar"`` (the default: structured-array
+    state, in-place view compare-exchanges, D_1 to D_11; returns the
+    sorted array and honours ``counters``, ``trace`` and ``profiler``),
+    ``"replay"`` (compiled straight-line plan; fastest on repeat runs at
+    small sizes), or ``"engine"`` (cycle-accurate; returns
     ``(keys, EngineResult)``).  Capabilities are declared in
     :mod:`repro.core.backends`: ``profiler`` records
-    per-:class:`ScheduleStep` wallclock spans (vectorized backend only),
+    per-:class:`ScheduleStep` wallclock spans (columnar backend only),
     and a backend without per-rank traces keeps no values to ``trace``.
     """
     from repro.core.backends import resolve_backend

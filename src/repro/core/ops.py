@@ -2,8 +2,8 @@
 
 The paper's prefix computation is defined over an arbitrary associative
 operation (not necessarily commutative).  :class:`AssocOp` packages the
-operation with its identity and an optional NumPy ufunc so the vectorized
-backend can run at array speed for numeric operations while the same code
+operation with its identity and an optional NumPy ufunc so the array
+backends can run at array speed for numeric operations while the same code
 path supports exotic ones (tuple concatenation, 2x2 matrix product) that
 the tests use to catch operand-ordering bugs — a commutative ``+`` hides
 them.
@@ -45,7 +45,7 @@ class AssocOp:
         prefix).
     ufunc:
         Optional NumPy ufunc implementing ``fn`` elementwise; enables the
-        fast array path in the vectorized backend.
+        fast array path in the array backends.
     commutative:
         Purely informational; algorithms never rely on it.
     """
@@ -74,6 +74,21 @@ class AssocOp:
         out = np.empty(n, dtype=object)
         out[:] = [self.identity] * n
         return out
+
+
+def _state_dtype(vals: np.ndarray, op: AssocOp | None) -> np.dtype:
+    """State dtype able to hold inputs, identities and combine results.
+
+    Every array backend builds its prefix state in this dtype, so narrow
+    inputs (``bool``, ``uint8``) are promoted as ``np.cumsum`` would
+    rather than wrapping, and all backends return the same dtype.
+    ``op=None`` (compare-exchange state) keeps the input dtype.
+    """
+    if vals.dtype == object or (op is not None and op.ufunc is None):
+        return np.dtype(object)
+    if op is None:
+        return vals.dtype
+    return np.result_type(vals.dtype, np.asarray(op.identity).dtype)
 
 
 def combine_arrays(op: AssocOp, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,14 +1,13 @@
 """Replay backend: execute precompiled straight-line plans.
 
-The fourth execution backend (next to ``engine``, ``vectorized``,
+The third execution backend (next to ``engine`` and the default
 ``columnar``): every core algorithm's communication schedule is oblivious,
 so :mod:`repro.analysis.static.compile` compiles it **once** per
 ``(algorithm, topology)`` into a plan of gather permutations and masks,
 and this module replays the plan with no matching fixed point, no request
 decoding, and no per-step index arithmetic — just ``take``/``ufunc``/
-``where`` over preallocated buffers.  On repeat runs (plans cached
-in-process) that beats the vectorized backend, which re-derives every
-partner permutation and direction mask per call.
+``where`` over preallocated buffers.  On repeat runs at small sizes
+(plans cached in-process, D_3-D_5) that is the fastest backend.
 
 Plans live in a module-level cache keyed by
 ``("prefix", topology, paper_literal)`` or ``("schedule", topology, kind,
@@ -26,10 +25,12 @@ numpy ufunc (worker slabs combine in place); counters are charged by the
 main process — the ledger is data-independent, so it is identical to the
 unsharded run.
 
-Cost accounting is call-for-call identical to the vectorized backend
+Cost accounting is call-for-call identical to the columnar backend
 (the same ``record_comm_step``/``record_comp_step`` sequence), so step
 counts, message/payload tallies, and attached timelines agree exactly
-with the engine and the static :class:`CommSchedule`.
+with the engine and the static :class:`CommSchedule`.  Prefix state is
+built in :func:`~repro.core.ops._state_dtype`, as in the columnar
+backend, so narrow inputs are promoted rather than wrapped.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from repro.analysis.static.compile import (
     compile_prefix_plan,
     compile_schedule_plan,
 )
-from repro.core.ops import AssocOp, combine_arrays
+from repro.core.ops import AssocOp, _state_dtype, combine_arrays
 from repro.simulator import CostCounters
 
 __all__ = [
@@ -171,7 +172,7 @@ def dual_prefix_replay(
     """Replay Algorithm 2 from its compiled plan.
 
     Results and counter sequence are byte-identical to
-    :func:`~repro.core.dual_prefix.dual_prefix_vec`; the arrangement
+    :func:`~repro.core.columnar.dual_prefix_columnar`; the arrangement
     permutation, per-round partner permutations, and fold masks come from
     the cached :class:`~repro.analysis.static.compile.PrefixPlan` instead
     of being re-derived per call.  ``shards=k`` (k >= 2) distributes the
@@ -194,9 +195,8 @@ def dual_prefix_replay(
                 shards=shards,
             )
     n = dc.num_nodes
-    held = vals[plan.input_perm]
-    t = held.copy()
-    s = held.copy() if inclusive else op.identity_array(n)
+    t = vals[plan.input_perm].astype(_state_dtype(vals, op))
+    s = t.copy() if inclusive else op.identity_array(n)
     t, s = _replay_rounds(plan, t, s, op, counters)
 
     temp = t[plan.cross]
@@ -226,7 +226,7 @@ def dual_prefix_replay(
 
 def _replay_rounds(plan, t, s, op, counters):
     """The m ascend rounds from precompiled permutations (both phases
-    replay the same tuple) — op-for-op the vectorized
+    replay the same tuple) — op-for-op
     :func:`~repro.core.cube_prefix.ascend_rounds_vec`."""
     for r in plan.rounds:
         temp = t[r.perm]
@@ -335,7 +335,7 @@ def _dual_prefix_replay_sharded(
         )
     n = dc.num_nodes
     m = dc.cluster_dim
-    dt = np.result_type(vals.dtype, np.asarray(op.identity).dtype)
+    dt = _state_dtype(vals, op)
     ufunc = op.ufunc
     ctx = multiprocessing.get_context("fork")
     from multiprocessing import shared_memory
@@ -409,6 +409,18 @@ def _dual_prefix_replay_sharded(
 # -- compare-exchange replay ---------------------------------------------------
 
 
+def _elementwise_minmax(arr: np.ndarray, other: np.ndarray):
+    """Elementwise (min, max) of object arrays of orderables."""
+    lo = np.empty(len(arr), dtype=object)
+    hi = np.empty(len(arr), dtype=object)
+    for k, (a, b) in enumerate(zip(arr, other)):
+        if b < a:
+            lo[k], hi[k] = b, a
+        else:
+            lo[k], hi[k] = a, b
+    return lo, hi
+
+
 def execute_schedule_replay(
     topo,
     keys,
@@ -420,12 +432,12 @@ def execute_schedule_replay(
     """Execute a compiled :class:`SchedulePlan` on a key array.
 
     Results and counters mirror
-    :func:`~repro.core.dual_sort.execute_schedule_vec` exactly; numeric
-    dtypes run through four preallocated buffers (``take`` / ``minimum``
-    / ``maximum`` / masked ``copyto``) with no per-step allocation,
-    object dtypes fall back to the vectorized element loop.
+    :func:`~repro.core.columnar.execute_schedule_columnar` exactly;
+    numeric dtypes run through four preallocated buffers (``take`` /
+    ``minimum`` / ``maximum`` / masked ``copyto``) with no per-step
+    allocation, object dtypes fall back to an element loop.
     """
-    from repro.core.dual_sort import _check_policy, _count_step, _elementwise_minmax
+    from repro.core.dual_sort import _check_policy, _count_step
 
     _check_policy(payload_policy)
     arr = np.asarray(keys).copy()
@@ -465,7 +477,7 @@ def dual_sort_replay(
     counters: CostCounters | None = None,
 ) -> np.ndarray:
     """Replay Algorithm 3 from its compiled plan; byte-identical results
-    and counters to :func:`~repro.core.dual_sort.dual_sort_vec`."""
+    and counters to :func:`~repro.core.columnar.dual_sort_columnar`."""
     from repro.core.dual_sort import dual_sort_schedule
 
     plan = get_schedule_plan(
@@ -521,7 +533,7 @@ def large_prefix_replay(
     prof = profiler if profiler is not None else NULL_PROFILER
 
     with prof.span("local-prefix", block=b):
-        local = blocks.copy()
+        local = blocks.astype(_state_dtype(blocks, op))
         for k in range(1, b):
             local[:, k] = combine_arrays(op, local[:, k - 1], local[:, k])
         if counters is not None and b > 1:

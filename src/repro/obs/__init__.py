@@ -5,7 +5,7 @@ answers "what happened *when*":
 
 * :mod:`repro.obs.timeline` — per-cycle :class:`TimelineRecorder` of
   link/message/fault events from the engine (both matchers and the fast
-  bookkeeping path) plus coarse per-round records from the vectorized
+  bookkeeping path) plus coarse per-round records from the array
   backends, with :func:`cross_validate_timeline` checking the recording
   against the static analyzer's extracted schedule;
 * :mod:`repro.obs.metrics` — a :class:`MetricsRegistry` of counters,

@@ -1,6 +1,6 @@
 """Per-cycle runtime timelines of one simulator run.
 
-The engine and the vectorized backends execute the paper's algorithms,
+The engine and the array backends execute the paper's algorithms,
 but until now a finished run left behind only *aggregate* cost counters —
 no record of **when** each link carried traffic or when a fault struck.
 The :class:`TimelineRecorder` is that record: an append-only log of
@@ -10,7 +10,7 @@ The :class:`TimelineRecorder` is that record: an append-only log of
   flushed per cycle by the engine's fast bookkeeping path;
 * :class:`FaultEvent` — one fault-plan action (drop, timeout, crash)
   with the cycle it occurred in;
-* :class:`StepRecord` — one coarse lockstep round from a vectorized
+* :class:`StepRecord` — one coarse lockstep round from an array
   backend (which has no per-link detail, only per-round aggregates).
 
 The recorder is deliberately dependency-free and cheap: recording is an
@@ -97,9 +97,9 @@ class FaultEvent:
 
 @dataclass(frozen=True)
 class StepRecord:
-    """One coarse lockstep round from a vectorized backend.
+    """One coarse lockstep round from an array backend.
 
-    Vectorized backends perform whole rounds as single array operations,
+    Array backends perform whole rounds as single array operations,
     so there is no per-link detail to record — only the round aggregate:
     ``messages`` point-to-point transfers carrying ``payload_items``
     items in total (``kind="comm"``), or a computation round of
@@ -151,7 +151,7 @@ class TimelineRecorder:
     context manager) for per-cycle link events, and/or attached to a
     :class:`~repro.simulator.counters.CostCounters` ledger
     (``counters.attach_timeline(...)``) for coarse per-round records from
-    the vectorized backends.
+    the array backends.
     """
 
     def __init__(self, num_nodes: int | None = None):
@@ -161,7 +161,7 @@ class TimelineRecorder:
         self._events: list[LinkEvent] = []
         self._faults: list[FaultEvent] = []
         self._steps: list[StepRecord] = []
-        self._comm_step = 0  # vectorized round counter (mirrors cycles)
+        self._comm_step = 0  # array-backend round counter (mirrors cycles)
         self._cycles = 0  # total cycles reported by the engine
 
     # -- engine-side hooks -----------------------------------------------------
@@ -203,12 +203,12 @@ class TimelineRecorder:
         if cycles > self._cycles:
             self._cycles = cycles
 
-    # -- vectorized-backend hooks ----------------------------------------------
+    # -- array-backend hooks ----------------------------------------------
 
     def record_comm_step(
         self, messages: int, payload_items: int | None = None, max_payload: int = 1
     ) -> None:
-        """One coarse lockstep communication round (vectorized backend)."""
+        """One coarse lockstep communication round (array backend)."""
         self._comm_step += 1
         self._steps.append(
             StepRecord(
@@ -225,7 +225,7 @@ class TimelineRecorder:
             self._cycles = self._comm_step
 
     def record_comp_step(self, ops_each: int = 1) -> None:
-        """One coarse lockstep computation round (vectorized backend)."""
+        """One coarse lockstep computation round (array backend)."""
         self._steps.append(
             StepRecord(step=self._comm_step, kind="comp", ops_each=ops_each)
         )
@@ -244,7 +244,7 @@ class TimelineRecorder:
 
     @property
     def steps(self) -> tuple[StepRecord, ...]:
-        """Coarse vectorized round records in recording order."""
+        """Coarse array-backend round records in recording order."""
         return tuple(self._steps)
 
     @property
@@ -276,7 +276,7 @@ class TimelineRecorder:
     def cycle_aggregates(self) -> list[CycleAggregate]:
         """One :class:`CycleAggregate` per cycle ``1..num_cycles``.
 
-        Engine link events contribute per-link loads; coarse vectorized
+        Engine link events contribute per-link loads; coarse array-backend
         rounds contribute message/payload totals without link detail;
         fault events contribute the per-kind tallies.  Idle cycles appear
         as all-zero aggregates so the list length always equals
@@ -345,7 +345,7 @@ class TimelineRecorder:
     def to_comm_schedule(self, topo=None):
         """The engine-side timeline as a static-analyzer ``CommSchedule``.
 
-        Only per-link events are convertible (coarse vectorized rounds
+        Only per-link events are convertible (coarse array-backend rounds
         carry no endpoints); the result plugs straight into the checkers
         of :mod:`repro.analysis.static` and into
         :func:`cross_validate_timeline`.

@@ -2,7 +2,7 @@
 
 Times the library's headline algorithms — `D_prefix`, `D_sort`, the
 blocked large-input variants, and the random-traffic experiment — across
-their backends (vectorized, engine, columnar, compiled replay), the
+their backends (engine, columnar, compiled replay), the
 open-loop serving scenarios, and a range of network sizes, and writes a
 machine-readable
 ``BENCH_core.json`` so every change leaves a measured perf trajectory

@@ -22,8 +22,9 @@ import numpy as np
 
 from repro.obs.profile import PhaseProfiler
 
-from repro.core.dual_prefix import dual_prefix_engine, dual_prefix_vec
-from repro.core.dual_sort import dual_sort_engine, dual_sort_vec
+from repro.core.backends import backend_spec
+from repro.core.dual_prefix import dual_prefix, dual_prefix_engine
+from repro.core.dual_sort import dual_sort, dual_sort_engine
 from repro.core.large_inputs import large_prefix, large_sort
 from repro.core.ops import ADD
 from repro.core.run_faulty import run_faulty
@@ -186,35 +187,18 @@ def _bench_dual_prefix(
     dc = DualCube(n)
     vals = rng.integers(0, 1000, dc.num_nodes)
 
-    def run_vectorized() -> CostCounters:
+    def run() -> CostCounters:
         counters = CostCounters(dc.num_nodes)
-        dual_prefix_vec(dc, vals, ADD, counters=counters)
-        return counters
-
-    def run_columnar() -> CostCounters:
-        from repro.core.columnar import dual_prefix_columnar
-
-        counters = CostCounters(dc.num_nodes)
-        dual_prefix_columnar(dc, vals, ADD, counters=counters)
-        return counters
-
-    def run_replay() -> CostCounters:
-        from repro.core.replay import dual_prefix_replay
-
-        counters = CostCounters(dc.num_nodes)
-        dual_prefix_replay(dc, vals, ADD, counters=counters, shards=shards)
+        dual_prefix(
+            dc, vals, ADD, backend=backend, counters=counters, shards=shards
+        )
         return counters
 
     def run_engine() -> CostCounters:
         _, result = dual_prefix_engine(dc, vals, ADD)
         return result.counters
 
-    run = {
-        "vectorized": run_vectorized,
-        "columnar": run_columnar,
-        "replay": run_replay,
-        "engine": run_engine,
-    }[backend]
+    run = {"engine": run_engine}.get(backend, run)
     wall, counters = _time_best(run, repeats)
     peak = _peak_mem_mb(run) if backend in _PEAK_MEM_BACKENDS else 0.0
     # A sharded replay run gets its own backend label so the record keys
@@ -230,39 +214,25 @@ def _bench_dual_sort(n: int, backend: str, rng, repeats: int) -> BenchRecord:
     rdc = RecursiveDualCube(n)
     keys = rng.permutation(rdc.num_nodes)
 
+    # Backends with per-step profiler spans fill the record's ``phases``.
+    profiled = "profiler" in backend_spec("dual_sort", backend).features
     phase_box: dict = {}
 
-    def run_vectorized() -> CostCounters:
+    def run() -> CostCounters:
         counters = CostCounters(rdc.num_nodes)
-        prof = PhaseProfiler()
-        dual_sort_vec(rdc, keys, counters=counters, profiler=prof)
-        phase_box.update(prof.totals())
-        return counters
-
-    def run_columnar() -> CostCounters:
-        from repro.core.columnar import dual_sort_columnar
-
-        counters = CostCounters(rdc.num_nodes)
-        dual_sort_columnar(rdc, keys, counters=counters)
-        return counters
-
-    def run_replay() -> CostCounters:
-        from repro.core.replay import dual_sort_replay
-
-        counters = CostCounters(rdc.num_nodes)
-        dual_sort_replay(rdc, keys, counters=counters)
+        prof = PhaseProfiler() if profiled else None
+        dual_sort(
+            rdc, keys, backend=backend, counters=counters, profiler=prof
+        )
+        if prof is not None:
+            phase_box.update(prof.totals())
         return counters
 
     def run_engine() -> CostCounters:
         _, result = dual_sort_engine(rdc, keys)
         return result.counters
 
-    run = {
-        "vectorized": run_vectorized,
-        "columnar": run_columnar,
-        "replay": run_replay,
-        "engine": run_engine,
-    }[backend]
+    run = {"engine": run_engine}.get(backend, run)
     wall, counters = _time_best(run, repeats)
     peak = _peak_mem_mb(run) if backend in _PEAK_MEM_BACKENDS else 0.0
     return _from_counters(
@@ -272,7 +242,7 @@ def _bench_dual_sort(n: int, backend: str, rng, repeats: int) -> BenchRecord:
 
 
 def _bench_large_prefix(
-    n: int, block: int, rng, repeats: int, backend: str = "vectorized"
+    n: int, block: int, rng, repeats: int, backend: str
 ) -> BenchRecord:
     dc = DualCube(n)
     vals = rng.integers(0, 1000, dc.num_nodes * block)
@@ -297,7 +267,7 @@ def _bench_large_prefix(
 
 
 def _bench_large_sort(
-    n: int, block: int, rng, repeats: int, backend: str = "vectorized"
+    n: int, block: int, rng, repeats: int, backend: str
 ) -> BenchRecord:
     rdc = RecursiveDualCube(n)
     keys = rng.permutation(rdc.num_nodes * block)
@@ -646,12 +616,8 @@ def run_bench(
     if not faults_only:
         for n in range(2, max_n + 1):
             rng = np.random.default_rng(seed + n)
-            records.append(_bench_dual_prefix(n, "vectorized", rng, repeats))
             records.append(_bench_dual_prefix(n, "engine", rng, repeats))
-            records.append(_bench_dual_sort(n, "vectorized", rng, repeats))
             records.append(_bench_dual_sort(n, "engine", rng, repeats))
-            records.append(_bench_large_prefix(n, block, rng, repeats))
-            records.append(_bench_large_sort(n, block, rng, repeats))
             records.append(_bench_traffic(n, pairs_per_node, rng, repeats))
 
     # Fault scenarios run at one fixed size (the paper's n=3, or n=2 when
@@ -743,7 +709,7 @@ def run_bench_replay(
     for n = 2..``max_n``.  Because ``_time_best`` reuses one closure across
     repeats, the first repeat pays plan compilation and the rest hit the
     plan cache — exactly the repeat-run scenario replay optimizes, and the
-    regime where it should beat the vectorized rows at n >= 4.  One extra
+    regime where it beats the columnar rows at small n.  One extra
     sharded dual_prefix row (backend ``replay-sharded``, ``shards``
     workers) runs at n = 9 on a full sweep so the multiprocessing path is
     exercised at D_9 scale; ``smoke`` caps the sweep at n = 3, single

@@ -2,11 +2,11 @@
 
 # repro: columnar-hot-path
 
-The engine backend keeps one Python generator per rank and the vectorized
-backend one numpy array per algorithm variable, but both still materialize
-per-step *gather permutations* (``arr[partner]``) — an O(nodes) index
-array plus an O(nodes) gathered copy per dimension-step.  The columnar
-backend removes even that: per-rank state lives in named columns of a
+The engine backend keeps one Python generator per rank, and a plain
+whole-network numpy execution would still materialize per-step *gather
+permutations* (``arr[partner]``) — an O(nodes) index array plus an
+O(nodes) gathered copy per dimension-step.  The columnar backend removes
+even that: per-rank state lives in named columns of a
 single structured array, and a dimension-``b`` exchange is expressed as a
 **reshape view** that splits a column into its bit-``b`` = 0/1 halves, so
 a whole step executes as one in-place batched combine with no index
@@ -20,10 +20,10 @@ length-factoring reshape of a strided 1-D view is itself a view, and
 :func:`bit_pair_views` verifies that with ``np.shares_memory`` so a
 silent copy (which would discard the in-place update) is impossible.
 
-Cost accounting is unchanged: columnar executors call the same
+Cost accounting matches the engine: columnar executors call the
 :meth:`~repro.simulator.counters.CostCounters.record_comm_step` /
-:meth:`~repro.simulator.counters.CostCounters.record_comp_step` hooks as
-the vectorized backend, so counters (and any timeline attached via
+:meth:`~repro.simulator.counters.CostCounters.record_comp_step` hooks
+once per engine step, so counters (and any timeline attached via
 :meth:`~repro.simulator.counters.CostCounters.attach_timeline`) agree
 with the engine exactly.
 """

@@ -1,4 +1,4 @@
-"""Cost accounting shared by the cycle-accurate engine and the vectorized backend.
+"""Cost accounting shared by the cycle-accurate engine and the array backends.
 
 The paper's theorems count two quantities under the synchronous 1-port
 model:
@@ -92,7 +92,7 @@ class CostCounters:
     def attach_timeline(self, recorder) -> None:
         """Mirror bulk lockstep rounds into a timeline recorder.
 
-        The vectorized backends have no engine cycles — their unit of
+        The array backends have no engine cycles — their unit of
         progress is the bulk round recorded through
         :meth:`record_comm_step`/:meth:`record_comp_step`.  With a
         recorder attached (duck-typed: anything with ``record_comm_step``
@@ -146,7 +146,7 @@ class CostCounters:
         self._comp_calls[rank] += 1
         self._comp_ops[rank] += ops
 
-    # -- vectorized-backend hooks ---------------------------------------------
+    # -- array-backend hooks ---------------------------------------------
 
     def record_comm_step(
         self, messages: int, payload_items: int | None = None, max_payload: int = 1

@@ -3,7 +3,7 @@
 The paper's Figures 3, 5 and 6 are snapshots of the per-node state after
 each algorithm phase.  Algorithms record labelled per-node values through
 :meth:`NodeCtx.record` (engine backend) or directly through
-:meth:`TraceRecorder.record_array` (vectorized backend); the benchmark
+:meth:`TraceRecorder.record_array` (columnar backend); the benchmark
 harness then renders each labelled snapshot as one figure panel.
 """
 

@@ -17,7 +17,7 @@ from repro.analysis.static.compile import (
     shard_task_spans,
     spans_overlap,
 )
-from repro.core.dual_prefix import dual_prefix_vec
+from repro.core.dual_prefix import dual_prefix
 from repro.core.ops import ADD
 from repro.core.replay import _cluster_blocks, dual_prefix_replay
 from repro.topology import DualCube
@@ -153,7 +153,7 @@ class TestReplayGuard:
         rng = np.random.default_rng(11)
         vals = rng.integers(0, 100, dc.num_nodes).tolist()
         got = dual_prefix_replay(dc, vals, ADD, shards=2)
-        want = dual_prefix_vec(dc, vals, ADD)
+        want = dual_prefix(dc, vals, ADD)
         np.testing.assert_array_equal(got, want)
 
     def test_racing_block_plan_rejected_before_fork(self, monkeypatch):

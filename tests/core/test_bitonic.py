@@ -9,7 +9,6 @@ from repro.analysis.complexity import hypercube_bitonic_steps
 from repro.core.bitonic import (
     bitonic_schedule,
     hypercube_bitonic_sort,
-    hypercube_bitonic_sort_vec,
     is_bitonic,
 )
 from repro.simulator import CostCounters
@@ -82,48 +81,48 @@ class TestHypercubeSort:
     @pytest.mark.parametrize("q", range(1, 7))
     def test_sorts_random_permutation(self, q, rng):
         keys = rng.permutation(1 << q)
-        assert list(hypercube_bitonic_sort_vec(keys)) == list(range(1 << q))
+        assert list(hypercube_bitonic_sort(keys)) == list(range(1 << q))
 
     @pytest.mark.parametrize("q", range(1, 6))
     def test_sorts_with_duplicates(self, q, rng):
         keys = rng.integers(0, 4, 1 << q)
-        assert list(hypercube_bitonic_sort_vec(keys)) == sorted(keys)
+        assert list(hypercube_bitonic_sort(keys)) == sorted(keys)
 
     def test_descending(self, rng):
         keys = rng.integers(0, 100, 32)
-        out = hypercube_bitonic_sort_vec(keys, descending=True)
+        out = hypercube_bitonic_sort(keys, descending=True)
         assert list(out) == sorted(keys, reverse=True)
 
     def test_engine_matches_vec(self, rng):
         keys = rng.integers(0, 1000, 16)
-        out_v = hypercube_bitonic_sort_vec(keys)
+        out_v = hypercube_bitonic_sort(keys)
         out_e, res = hypercube_bitonic_sort([int(k) for k in keys], backend="engine")
         assert list(out_v) == out_e
         assert res.comm_steps == hypercube_bitonic_steps(4)
 
     def test_vec_counters(self, rng):
         c = CostCounters(32)
-        hypercube_bitonic_sort_vec(rng.integers(0, 10, 32), counters=c)
+        hypercube_bitonic_sort(rng.integers(0, 10, 32), counters=c)
         assert c.comm_steps == c.comp_steps == hypercube_bitonic_steps(5)
         assert c.messages == hypercube_bitonic_steps(5) * 32
         assert c.max_message_payload == 1  # no relaying in the hypercube
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
-            hypercube_bitonic_sort_vec(np.arange(5))
+            hypercube_bitonic_sort(np.arange(5))
         with pytest.raises(ValueError):
             hypercube_bitonic_sort([1, 2, 3], backend="engine")
         with pytest.raises(ValueError):
             hypercube_bitonic_sort([1, 2], backend="abacus")
 
     def test_all_equal_keys(self):
-        out = hypercube_bitonic_sort_vec(np.full(16, 7))
+        out = hypercube_bitonic_sort(np.full(16, 7))
         assert list(out) == [7] * 16
 
     @settings(max_examples=40, deadline=None)
     @given(st.lists(st.integers(-1000, 1000), min_size=16, max_size=16))
     def test_property_sorts_anything(self, keys):
-        assert list(hypercube_bitonic_sort_vec(np.array(keys))) == sorted(keys)
+        assert list(hypercube_bitonic_sort(np.array(keys))) == sorted(keys)
 
     def test_object_keys_on_engine(self):
         keys = ["pear", "apple", "fig", "date", "plum", "kiwi", "lime", "yuzu"]

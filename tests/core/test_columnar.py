@@ -1,6 +1,6 @@
-"""Columnar backend: view primitives, differential parity vs both other
-backends (under both engine matchers), static-schedule step parity,
-memory scaling, and the backend dispatchers."""
+"""Columnar backend: view primitives, differential parity vs the replay
+backend and the engine (under both engine matchers), static-schedule step
+parity, memory scaling, and the backend dispatchers."""
 
 import tracemalloc
 
@@ -14,9 +14,7 @@ from repro.core import (
     CONCAT,
     MATMUL2,
     dual_prefix,
-    dual_prefix_vec,
     dual_sort,
-    dual_sort_vec,
     large_prefix,
     large_sort,
     sequential_prefix,
@@ -29,6 +27,7 @@ from repro.core.columnar import (
     large_sort_columnar,
 )
 from repro.core.dual_prefix import dual_prefix_engine, dual_prefix_program
+from repro.core.replay import dual_prefix_replay
 from repro.core.dual_sort import (
     dual_sort_engine,
     dual_sort_schedule,
@@ -140,8 +139,8 @@ class TestPrefixDifferential:
                 for paper_literal in (False, True):
                     cv = CostCounters(dc.num_nodes)
                     cc = CostCounters(dc.num_nodes)
-                    a = dual_prefix_vec(
-                        dc, vals, op, inclusive=inclusive,
+                    a = dual_prefix(
+                        dc, vals, op, backend="replay", inclusive=inclusive,
                         paper_literal=paper_literal, counters=cv,
                     )
                     b = dual_prefix_columnar(
@@ -184,8 +183,8 @@ class TestSortDifferential:
         for descending in (False, True):
             cv = CostCounters(rdc.num_nodes)
             cc = CostCounters(rdc.num_nodes)
-            a = dual_sort_vec(
-                rdc, keys, descending=descending,
+            a = dual_sort(
+                rdc, keys, descending=descending, backend="replay",
                 payload_policy=policy, counters=cv,
             )
             b = dual_sort_columnar(
@@ -285,7 +284,7 @@ class TestDispatchers:
         vals = rng.integers(0, 100, dc.num_nodes)
         assert np.array_equal(
             dual_prefix(dc, vals, ADD, backend="columnar"),
-            dual_prefix(dc, vals, ADD, backend="vectorized"),
+            dual_prefix(dc, vals, ADD),
         )
 
     def test_sort_backend_flag(self, rng):
@@ -305,22 +304,6 @@ class TestDispatchers:
         assert np.array_equal(
             large_sort(rdc, vals, backend="columnar"), np.sort(vals)
         )
-
-    def test_columnar_rejects_trace(self):
-        from repro.simulator import TraceRecorder
-
-        dc = DualCube(2)
-        with pytest.raises(ValueError, match="no per-rank values to trace"):
-            dual_prefix(
-                dc, np.zeros(dc.num_nodes), ADD, backend="columnar",
-                trace=TraceRecorder(),
-            )
-        rdc = RecursiveDualCube(2)
-        with pytest.raises(ValueError, match="no per-rank values to trace"):
-            dual_sort(
-                rdc, np.zeros(rdc.num_nodes), backend="columnar",
-                trace=TraceRecorder(),
-            )
 
     def test_unknown_backend_names_columnar(self):
         dc = DualCube(2)
@@ -388,7 +371,7 @@ class TestTimelineMirroring:
         dc = DualCube(3)
         vals = rng.integers(0, 100, dc.num_nodes)
         recs = []
-        for fn in (dual_prefix_vec, dual_prefix_columnar):
+        for fn in (dual_prefix_replay, dual_prefix_columnar):
             c = CostCounters(dc.num_nodes)
             tl = TimelineRecorder(num_nodes=dc.num_nodes)
             c.attach_timeline(tl)

@@ -69,12 +69,12 @@ class TestLargePrefix:
         assert c1.max_node_ops > c2.max_node_ops
 
     def test_b_equals_one_matches_plain(self, rng):
-        from repro.core.dual_prefix import dual_prefix_vec
+        from repro.core.dual_prefix import dual_prefix
 
         dc = DualCube(2)
         vals = rng.integers(0, 100, 8)
         assert list(large_prefix(dc, vals, ADD)) == list(
-            dual_prefix_vec(dc, vals, ADD)
+            dual_prefix(dc, vals, ADD)
         )
 
     def test_rejects_non_multiple(self):

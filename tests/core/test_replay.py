@@ -1,5 +1,5 @@
 """The replay backend: compiled plans vs the extractor, byte-identical
-differential parity against the vectorized backend (results, counters,
+differential parity against the default columnar backend (results, counters,
 timelines), the per-cluster sharded prefix path, and the plan cache's
 statistics/metrics surface."""
 
@@ -20,15 +20,15 @@ from repro.core import (
     MAX,
     clear_plan_cache,
     dual_prefix_replay,
-    dual_prefix_vec,
+    dual_prefix,
     dual_sort_replay,
-    dual_sort_vec,
+    dual_sort,
     hypercube_bitonic_sort_replay,
-    hypercube_bitonic_sort_vec,
+    hypercube_bitonic_sort,
     large_prefix_replay,
-    large_prefix_vec,
+    large_prefix,
     large_sort_replay,
-    large_sort_vec,
+    large_sort,
     plan_cache_stats,
     registry_from_plan_cache,
     sequential_prefix,
@@ -164,7 +164,7 @@ class TestDualPrefixReplay:
         dc = DualCube(n)
         vals = rng.integers(0, 1000, dc.num_nodes)
         c_vec, c_rep = CostCounters(dc.num_nodes), CostCounters(dc.num_nodes)
-        vec = dual_prefix_vec(dc, vals, ADD, counters=c_vec)
+        vec = dual_prefix(dc, vals, ADD, counters=c_vec)
         rep = dual_prefix_replay(dc, vals, ADD, counters=c_rep)
         assert rep.tolist() == vec.tolist()
         assert c_rep.summary() == c_vec.summary()
@@ -175,7 +175,7 @@ class TestDualPrefixReplay:
         dc = DualCube(3)
         vals = rng.integers(0, 1000, dc.num_nodes)
         c_vec, c_rep = CostCounters(dc.num_nodes), CostCounters(dc.num_nodes)
-        vec = dual_prefix_vec(
+        vec = dual_prefix(
             dc, vals, ADD, inclusive=inclusive, paper_literal=paper_literal,
             counters=c_vec,
         )
@@ -209,7 +209,7 @@ class TestDualPrefixReplay:
         dc = DualCube(3)
         vals = rng.integers(0, 100, dc.num_nodes)
         recs = []
-        for fn in (dual_prefix_vec, dual_prefix_replay):
+        for fn in (dual_prefix, dual_prefix_replay):
             c = CostCounters(dc.num_nodes)
             tl = TimelineRecorder(num_nodes=dc.num_nodes)
             c.attach_timeline(tl)
@@ -225,7 +225,7 @@ class TestShardedReplay:
         dc = DualCube(n)
         vals = rng.integers(0, 1000, dc.num_nodes)
         c_vec, c_sh = CostCounters(dc.num_nodes), CostCounters(dc.num_nodes)
-        vec = dual_prefix_vec(dc, vals, ADD, counters=c_vec)
+        vec = dual_prefix(dc, vals, ADD, counters=c_vec)
         out = dual_prefix_replay(
             dc, vals, ADD, counters=c_sh, shards=shards
         )
@@ -239,7 +239,7 @@ class TestShardedReplay:
         out = dual_prefix_replay(
             dc, vals, ADD, inclusive=False, shards=2
         )
-        vec = dual_prefix_vec(dc, vals, ADD, inclusive=False)
+        vec = dual_prefix(dc, vals, ADD, inclusive=False)
         assert out.tolist() == vec.tolist()
 
     def test_shards_one_is_the_plain_path(self, rng):
@@ -275,7 +275,7 @@ class TestScheduleReplay:
         rdc = RecursiveDualCube(n)
         keys = rng.permutation(rdc.num_nodes)
         c_vec, c_rep = CostCounters(rdc.num_nodes), CostCounters(rdc.num_nodes)
-        vec = dual_sort_vec(rdc, keys, payload_policy=policy, counters=c_vec)
+        vec = dual_sort(rdc, keys, payload_policy=policy, counters=c_vec)
         rep = dual_sort_replay(
             rdc, keys, payload_policy=policy, counters=c_rep
         )
@@ -293,7 +293,7 @@ class TestScheduleReplay:
         rdc = RecursiveDualCube(2)
         keys = _obj(list(reversed(range(rdc.num_nodes))))
         c_vec, c_rep = CostCounters(rdc.num_nodes), CostCounters(rdc.num_nodes)
-        vec = dual_sort_vec(rdc, keys, counters=c_vec)
+        vec = dual_sort(rdc, keys, counters=c_vec)
         rep = dual_sort_replay(rdc, keys, counters=c_rep)
         assert rep.tolist() == vec.tolist()
         assert c_rep.summary() == c_vec.summary()
@@ -302,7 +302,7 @@ class TestScheduleReplay:
     def test_bitonic_matches_vectorized(self, q, rng):
         keys = rng.permutation(2**q)
         c_vec, c_rep = CostCounters(len(keys)), CostCounters(len(keys))
-        vec = hypercube_bitonic_sort_vec(keys, counters=c_vec)
+        vec = hypercube_bitonic_sort(keys, counters=c_vec)
         rep = hypercube_bitonic_sort_replay(keys, counters=c_rep)
         assert rep.tolist() == vec.tolist()
         assert c_rep.summary() == c_vec.summary()
@@ -321,7 +321,7 @@ class TestLargeInputReplay:
         dc = DualCube(n)
         vals = rng.integers(0, 1000, dc.num_nodes * b)
         c_vec, c_rep = CostCounters(dc.num_nodes), CostCounters(dc.num_nodes)
-        vec = large_prefix_vec(dc, vals, ADD, counters=c_vec)
+        vec = large_prefix(dc, vals, ADD, counters=c_vec)
         rep = large_prefix_replay(dc, vals, ADD, counters=c_rep)
         assert rep.tolist() == vec.tolist()
         assert c_rep.summary() == c_vec.summary()
@@ -330,7 +330,7 @@ class TestLargeInputReplay:
         dc = DualCube(3)
         vals = rng.integers(0, 1000, dc.num_nodes * 4)
         c_vec, c_rep = CostCounters(dc.num_nodes), CostCounters(dc.num_nodes)
-        vec = large_prefix_vec(dc, vals, ADD, counters=c_vec)
+        vec = large_prefix(dc, vals, ADD, counters=c_vec)
         rep = large_prefix_replay(
             dc, vals, ADD, counters=c_rep, shards=2
         )
@@ -343,7 +343,7 @@ class TestLargeInputReplay:
         rdc = RecursiveDualCube(n)
         keys = rng.permutation(rdc.num_nodes * 4)
         c_vec, c_rep = CostCounters(rdc.num_nodes), CostCounters(rdc.num_nodes)
-        vec = large_sort_vec(rdc, keys, payload_policy=policy, counters=c_vec)
+        vec = large_sort(rdc, keys, payload_policy=policy, counters=c_vec)
         rep = large_sort_replay(
             rdc, keys, payload_policy=policy, counters=c_rep
         )

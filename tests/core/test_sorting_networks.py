@@ -38,11 +38,11 @@ class TestBitonicNetwork:
     def test_matches_hypercube_schedule_executor(self, rng):
         """Same algorithm, two formulations: comparator network vs the
         dimension-exchange schedule the dual-cube emulates."""
-        from repro.core.bitonic import hypercube_bitonic_sort_vec
+        from repro.core.bitonic import hypercube_bitonic_sort
 
         keys = rng.integers(0, 1000, 32)
         net = apply_network(keys, bitonic_sort_network(32))
-        sched = hypercube_bitonic_sort_vec(keys)
+        sched = hypercube_bitonic_sort(keys)
         assert list(net) == list(sched) == sorted(keys)
 
 

@@ -1,5 +1,5 @@
-"""Cross-backend integration: the cycle-accurate engine and the vectorized
-backend must agree bit-for-bit on results *and* on every cost counter, for
+"""Cross-backend integration: the cycle-accurate engine and the default
+(columnar) backend must agree bit-for-bit on results *and* on every cost counter, for
 every algorithm, at every size tested."""
 
 import numpy as np
@@ -11,9 +11,9 @@ from repro import (
     DualCube,
     RecursiveDualCube,
 )
-from repro.core.bitonic import hypercube_bitonic_sort, hypercube_bitonic_sort_vec
-from repro.core.dual_prefix import dual_prefix_engine, dual_prefix_vec
-from repro.core.dual_sort import dual_sort_engine, dual_sort_vec
+from repro.core.bitonic import hypercube_bitonic_sort
+from repro.core.dual_prefix import dual_prefix, dual_prefix_engine
+from repro.core.dual_sort import dual_sort, dual_sort_engine
 from repro.routing import allreduce_engine, allreduce_vec
 from repro.simulator import CostCounters
 
@@ -39,7 +39,7 @@ class TestPrefixParity:
                     dc, vals, CONCAT, inclusive=inclusive, paper_literal=paper_literal
                 )
                 c = CostCounters(dc.num_nodes)
-                pre_v = dual_prefix_vec(
+                pre_v = dual_prefix(
                     dc,
                     vals,
                     CONCAT,
@@ -65,7 +65,7 @@ class TestSortParity:
                 payload_policy=policy,
             )
             c = CostCounters(rdc.num_nodes)
-            out_v = dual_sort_vec(
+            out_v = dual_sort(
                 rdc, keys, descending=descending, payload_policy=policy, counters=c
             )
             assert out_e == list(out_v)
@@ -80,7 +80,7 @@ class TestHypercubeSortParity:
             [int(k) for k in keys], backend="engine"
         )
         c = CostCounters(1 << q)
-        out_v = hypercube_bitonic_sort_vec(keys, counters=c)
+        out_v = hypercube_bitonic_sort(keys, counters=c)
         assert out_e == list(out_v)
         _counters_agree(c, res)
 
@@ -105,8 +105,8 @@ class TestEndToEndPipelines:
         rdc = RecursiveDualCube(3)
         dc = DualCube(3)
         keys = rng.integers(0, 100, 32)
-        s = dual_sort_vec(rdc, keys)
-        cdf = dual_prefix_vec(dc, s, ADD)
+        s = dual_sort(rdc, keys)
+        cdf = dual_prefix(dc, s, ADD)
         assert list(cdf) == list(np.cumsum(sorted(keys)))
 
     def test_prefix_of_broadcast_constant(self, rng):
@@ -114,13 +114,13 @@ class TestEndToEndPipelines:
 
         dc = DualCube(2)
         got, _ = broadcast_engine(dc, 3, 7)
-        pre = dual_prefix_vec(dc, np.array(got), ADD)
+        pre = dual_prefix(dc, np.array(got), ADD)
         assert list(pre) == [7 * (k + 1) for k in range(8)]
 
     def test_counters_accumulate_across_calls(self, rng):
         dc = DualCube(2)
         c = CostCounters(8)
-        dual_prefix_vec(dc, rng.integers(0, 9, 8), ADD, counters=c)
+        dual_prefix(dc, rng.integers(0, 9, 8), ADD, counters=c)
         first = c.comm_steps
-        dual_prefix_vec(dc, rng.integers(0, 9, 8), ADD, counters=c)
+        dual_prefix(dc, rng.integers(0, 9, 8), ADD, counters=c)
         assert c.comm_steps == 2 * first

@@ -18,8 +18,8 @@ from repro import (
     MAX,
     RecursiveDualCube,
 )
-from repro.core.dual_prefix import dual_prefix_vec
-from repro.core.dual_sort import dual_sort_vec
+from repro.core.dual_prefix import dual_prefix
+from repro.core.dual_sort import dual_sort
 from repro.core.large_inputs import large_prefix, large_sort
 from repro.simulator import CostCounters
 
@@ -34,8 +34,8 @@ class TestPrefixAlgebra:
         """scan(a + b) == scan(a) + scan(b) for the linear ADD scan."""
         dc = DualCube(3)
         av, bv = np.array(a), np.array(b)
-        lhs = dual_prefix_vec(dc, av + bv, ADD)
-        rhs = dual_prefix_vec(dc, av, ADD) + dual_prefix_vec(dc, bv, ADD)
+        lhs = dual_prefix(dc, av + bv, ADD)
+        rhs = dual_prefix(dc, av, ADD) + dual_prefix(dc, bv, ADD)
         assert list(lhs) == list(rhs)
 
     @settings(max_examples=25, deadline=None)
@@ -44,23 +44,23 @@ class TestPrefixAlgebra:
         """scan(a + c) == scan(a) + c * (k+1) elementwise."""
         dc = DualCube(3)
         av = np.array(a)
-        lhs = dual_prefix_vec(dc, av + c, ADD)
-        rhs = dual_prefix_vec(dc, av, ADD) + c * np.arange(1, 33)
+        lhs = dual_prefix(dc, av + c, ADD)
+        rhs = dual_prefix(dc, av, ADD) + c * np.arange(1, 33)
         assert list(lhs) == list(rhs)
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.integers(-100, 100), min_size=32, max_size=32))
     def test_max_scan_monotone_and_dominating(self, a):
         dc = DualCube(3)
-        out = dual_prefix_vec(dc, np.array(a), MAX)
+        out = dual_prefix(dc, np.array(a), MAX)
         assert all(x <= y for x, y in zip(out, out[1:]))
         assert all(o >= v for o, v in zip(out, a))
 
     def test_inclusive_minus_diminished_is_input(self, rng):
         dc = DualCube(3)
         vals = rng.integers(-100, 100, 32)
-        inc = dual_prefix_vec(dc, vals, ADD)
-        dim = dual_prefix_vec(dc, vals, ADD, inclusive=False)
+        inc = dual_prefix(dc, vals, ADD)
+        dim = dual_prefix(dc, vals, ADD, inclusive=False)
         assert list(inc - dim) == list(vals)
 
 
@@ -70,23 +70,23 @@ class TestSortAlgebra:
     def test_permutation_invariance(self, perm):
         """Sorting any permutation of fixed keys gives the same output."""
         rdc = RecursiveDualCube(3)
-        out = dual_sort_vec(rdc, np.array(perm))
+        out = dual_sort(rdc, np.array(perm))
         assert list(out) == list(range(32))
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.integers(0, 1000), min_size=32, max_size=32))
     def test_idempotence(self, keys):
         rdc = RecursiveDualCube(3)
-        once = dual_sort_vec(rdc, np.array(keys))
-        twice = dual_sort_vec(rdc, once)
+        once = dual_sort(rdc, np.array(keys))
+        twice = dual_sort(rdc, once)
         assert list(once) == list(twice)
 
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.integers(0, 1000), min_size=32, max_size=32))
     def test_ascending_is_reverse_of_descending(self, keys):
         rdc = RecursiveDualCube(3)
-        asc = dual_sort_vec(rdc, np.array(keys))
-        desc = dual_sort_vec(rdc, np.array(keys), descending=True)
+        asc = dual_sort(rdc, np.array(keys))
+        desc = dual_sort(rdc, np.array(keys), descending=True)
         assert list(asc) == list(desc[::-1])
 
     @settings(max_examples=15, deadline=None)
@@ -95,16 +95,16 @@ class TestSortAlgebra:
         """sort(scale * k + 7) == scale * sort(k) + 7 for scale > 0."""
         rdc = RecursiveDualCube(3)
         kv = np.array(keys)
-        lhs = dual_sort_vec(rdc, scale * kv + 7)
-        rhs = scale * dual_sort_vec(rdc, kv) + 7
+        lhs = dual_sort(rdc, scale * kv + 7)
+        rhs = scale * dual_sort(rdc, kv) + 7
         assert list(lhs) == list(rhs)
 
     def test_negation_antisymmetry(self, rng):
         """sort(-k) == -reverse(sort(k))."""
         rdc = RecursiveDualCube(3)
         keys = rng.integers(-100, 100, 32)
-        lhs = dual_sort_vec(rdc, -keys)
-        rhs = -dual_sort_vec(rdc, keys)[::-1]
+        lhs = dual_sort(rdc, -keys)
+        rhs = -dual_sort(rdc, keys)[::-1]
         assert list(lhs) == list(rhs)
 
 
@@ -116,7 +116,7 @@ class TestBlockedConsistency:
         vals = rng.integers(0, 100, b * 8)
         big = large_prefix(dc, vals, ADD)
         totals = vals.reshape(8, b).sum(axis=1)
-        small = dual_prefix_vec(dc, totals, ADD)
+        small = dual_prefix(dc, totals, ADD)
         assert list(big[b - 1 :: b]) == list(small)
 
     @pytest.mark.parametrize("b", [2, 4])
@@ -135,7 +135,7 @@ class TestCostScaling:
         for n in (1, 2, 3, 4, 5):
             dc = DualCube(n)
             c = CostCounters(dc.num_nodes)
-            dual_prefix_vec(dc, rng.integers(0, 9, dc.num_nodes), ADD, counters=c)
+            dual_prefix(dc, rng.integers(0, 9, dc.num_nodes), ADD, counters=c)
             if prev is not None:
                 assert c.comm_steps - prev == 2
             prev = c.comm_steps
@@ -146,7 +146,7 @@ class TestCostScaling:
         for n in (1, 2, 3, 4):
             rdc = RecursiveDualCube(n)
             c = CostCounters(rdc.num_nodes)
-            dual_sort_vec(rdc, rng.integers(0, 9, rdc.num_nodes), counters=c)
+            dual_sort(rdc, rng.integers(0, 9, rdc.num_nodes), counters=c)
             if prev is not None:
                 assert c.comm_steps - prev == 3 * (4 * n - 3) - 4
             prev = c.comm_steps
@@ -156,7 +156,7 @@ class TestCostScaling:
         for n in (2, 3, 4):
             dc = DualCube(n)
             c = CostCounters(dc.num_nodes)
-            dual_prefix_vec(dc, rng.integers(0, 9, dc.num_nodes), ADD, counters=c)
+            dual_prefix(dc, rng.integers(0, 9, dc.num_nodes), ADD, counters=c)
             assert c.messages == dc.num_nodes * c.comm_steps
 
 

@@ -9,8 +9,8 @@ from repro import (
     TraceRecorder,
     dual_sort_schedule,
 )
-from repro.core.dual_prefix import dual_prefix_vec
-from repro.core.dual_sort import dual_sort_vec
+from repro.core.dual_prefix import dual_prefix
+from repro.core.dual_sort import dual_sort
 
 
 class TestFigure3PrefixWalkthrough:
@@ -20,7 +20,7 @@ class TestFigure3PrefixWalkthrough:
         self.dc = DualCube(3)
         self.trace = TraceRecorder()
         self.values = np.arange(1, 33)
-        self.result = dual_prefix_vec(self.dc, self.values, ADD, trace=self.trace)
+        self.result = dual_prefix(self.dc, self.values, ADD, trace=self.trace)
 
     def test_final_result_is_prefix_sums(self):
         assert list(self.result) == [k * (k + 1) // 2 for k in range(1, 33)]
@@ -78,7 +78,7 @@ class TestFigures5And6SortWalkthrough:
         rng = np.random.default_rng(2008)  # venue year as the fixed seed
         self.keys = rng.permutation(32)
         self.trace = TraceRecorder()
-        self.sorted = dual_sort_vec(self.rdc, self.keys, trace=self.trace)
+        self.sorted = dual_sort(self.rdc, self.keys, trace=self.trace)
 
     def _state_after(self, label_fragment: str, which: int = -1):
         labels = [l for l in self.trace.labels() if label_fragment in l]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.dual_sort import dual_sort_vec
+from repro.core.dual_sort import dual_sort
 from repro.core.large_inputs import large_prefix, large_sort
 from repro.core.ops import ADD
 from repro.obs import NULL_PROFILER, PhaseProfiler
@@ -68,7 +68,7 @@ class TestAlgorithmWiring:
         rdc = RecursiveDualCube(2)
         prof = PhaseProfiler()
         keys = np.arange(rdc.num_nodes)[::-1]
-        out = dual_sort_vec(rdc, keys, profiler=prof)
+        out = dual_sort(rdc, keys, profiler=prof)
         assert list(out) == sorted(keys)
         steps = [s.meta.get("step") for s in prof.spans]
         assert steps == sorted(steps)  # one span per step, in order

@@ -2,6 +2,7 @@
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +23,15 @@ def smoke_payload():
     return run_bench(smoke=True, max_n=2)
 
 
+@pytest.fixture(scope="module")
+def columnar_n2_payload():
+    """The full columnar suite capped at n=2: all four algorithm benches
+    on the default backend."""
+    from repro.perf import run_bench_columnar
+
+    return run_bench_columnar(max_n=2)
+
+
 class TestRunBench:
     def test_smoke_caps_sweep_and_repeats(self, smoke_payload):
         assert smoke_payload["smoke"] is True
@@ -36,12 +46,8 @@ class TestRunBench:
     def test_covers_every_suite_member(self, smoke_payload):
         benches = {(r["bench"], r["backend"]) for r in smoke_payload["records"]}
         assert benches == {
-            ("dual_prefix", "vectorized"),
             ("dual_prefix", "engine"),
-            ("dual_sort", "vectorized"),
             ("dual_sort", "engine"),
-            ("large_prefix_b8", "vectorized"),
-            ("large_sort_b8", "vectorized"),
             ("run_traffic", "router"),
             ("fault_prefix", "degraded-node"),
             ("fault_prefix", "degraded-link"),
@@ -72,11 +78,16 @@ class TestRunBench:
             assert r["retries"] >= 0
             assert r["timeouts"] == 0
 
-    def test_engine_and_vectorized_agree_on_comm_steps(self, smoke_payload):
-        by_key = {(r["bench"], r["backend"]): r for r in smoke_payload["records"]}
+    def test_engine_and_vectorized_agree_on_comm_steps(
+        self, smoke_payload, columnar_n2_payload
+    ):
+        by_key = {
+            (r["bench"], r["backend"]): r
+            for r in smoke_payload["records"] + columnar_n2_payload["records"]
+        }
         for bench in ("dual_prefix", "dual_sort"):
             eng = by_key[(bench, "engine")]
-            vec = by_key[(bench, "vectorized")]
+            vec = by_key[(bench, "columnar")]
             assert eng["comm_steps"] == vec["comm_steps"]
 
     def test_fault_traffic_hop_ledgers_reconcile(self, smoke_payload):
@@ -86,13 +97,18 @@ class TestRunBench:
         assert r["retries"] > 0
         assert r["messages"] == r["payload_items"] + r["retries"]
 
-    def test_vectorized_records_carry_phase_timings(self, smoke_payload):
-        by_key = {(r["bench"], r["backend"]): r for r in smoke_payload["records"]}
-        phases = by_key[("large_prefix_b8", "vectorized")]["phases"]
+    def test_vectorized_records_carry_phase_timings(
+        self, smoke_payload, columnar_n2_payload
+    ):
+        by_key = {
+            (r["bench"], r["backend"]): r
+            for r in smoke_payload["records"] + columnar_n2_payload["records"]
+        }
+        phases = by_key[("large_prefix_b8", "columnar")]["phases"]
         assert set(phases) == {"local-prefix", "network", "fold"}
         assert all(v >= 0 for v in phases.values())
-        assert by_key[("large_sort_b8", "vectorized")]["phases"]
-        assert by_key[("dual_sort", "vectorized")]["phases"]
+        assert by_key[("large_sort_b8", "columnar")]["phases"]
+        assert by_key[("dual_sort", "columnar")]["phases"]
         # Engine benchmarks have no profiler hook; their dict stays empty.
         assert by_key[("dual_sort", "engine")]["phases"] == {}
 
@@ -247,12 +263,12 @@ class TestColumnarBench:
             assert r["peak_mem_mb"] > 0
 
     def test_counters_match_core_suite(self, columnar_payload, smoke_payload):
-        # The columnar records must be cost-identical to the vectorized
-        # rows of the core suite at the same (bench, n).
+        # The columnar records must be cost-identical to the engine rows
+        # of the core suite at the same (bench, n).
         core = {
             (r["bench"], r["n"]): r
             for r in smoke_payload["records"]
-            if r["backend"] == "vectorized"
+            if r["backend"] == "engine"
         }
         for r in columnar_payload["records"]:
             base = core[(r["bench"], r["n"])]
@@ -331,13 +347,14 @@ class TestReplayBench:
             ("dual_prefix", "replay-sharded"),
         }
 
-    def test_counters_match_core_suite(self, replay_payload, smoke_payload):
+    def test_counters_match_core_suite(
+        self, replay_payload, columnar_n2_payload
+    ):
         # Replay rows (sharded included) must be cost-identical to the
-        # vectorized rows of the core suite at the same (bench, n).
+        # default (columnar) rows at the same (bench, n).
         core = {
             (r["bench"], r["n"]): r
-            for r in smoke_payload["records"]
-            if r["backend"] == "vectorized"
+            for r in columnar_n2_payload["records"]
         }
         for r in replay_payload["records"]:
             base = core[(r["bench"], r["n"])]
@@ -380,7 +397,7 @@ class TestMergeBench:
         from repro.perf import merge_bench
 
         rec = dict(bench="dual_prefix", backend="columnar", n=2, wall_s=1.0)
-        old = dict(bench="dual_prefix", backend="vectorized", n=2, wall_s=9.0)
+        old = dict(bench="dual_prefix", backend="engine", n=2, wall_s=9.0)
         collide_old = dict(rec, wall_s=5.0)
         base = {"schema": 2, "suite": "core", "records": [old, collide_old]}
         new = {"schema": SCHEMA_VERSION, "suite": "columnar", "records": [rec]}
@@ -391,7 +408,7 @@ class TestMergeBench:
         assert keys == sorted(keys) and len(keys) == 2
         by_key = {(r["bench"], r["backend"], r["n"]): r for r in merged["records"]}
         assert by_key[("dual_prefix", "columnar", 2)]["wall_s"] == 1.0
-        assert by_key[("dual_prefix", "vectorized", 2)]["wall_s"] == 9.0
+        assert by_key[("dual_prefix", "engine", 2)]["wall_s"] == 9.0
 
     def test_older_schemas_still_load(self, tmp_path):
         for schema in (1, 2):
@@ -428,3 +445,19 @@ class TestColumnarCli:
 
     def test_faults_flag_rejected_for_columnar(self):
         assert main(["bench", "--backend", "columnar", "--faults"]) == 2
+
+    def test_regressing_run_leaves_the_baseline_untouched(self, tmp_path):
+        # --compare X --out X (the make bench-columnar-smoke idiom): a run
+        # that regresses must not overwrite X, or the rerun would gate
+        # clean against the regressed numbers.
+        root = Path(__file__).resolve().parents[2]
+        doctored = load_bench(root / "BENCH_columnar_smoke.json")
+        doctored["records"][0]["comm_steps"] -= 1
+        baseline = write_bench(doctored, tmp_path / "BENCH_columnar_smoke.json")
+        before = baseline.read_bytes()
+        argv = ["bench", "--backend", "columnar", "--smoke",
+                "--out", str(baseline), "--compare", str(baseline),
+                "--wall-factor", "20"]
+        assert main(argv) == 1
+        assert main(argv) == 1
+        assert baseline.read_bytes() == before

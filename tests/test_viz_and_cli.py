@@ -166,11 +166,11 @@ class TestVizIntegration:
         import numpy as np
 
         from repro import RecursiveDualCube, TraceRecorder
-        from repro.core.dual_sort import dual_sort_vec
+        from repro.core.dual_sort import dual_sort
 
         rdc = RecursiveDualCube(2)
         trace = TraceRecorder()
-        dual_sort_vec(rdc, rng.permutation(8), trace=trace)
+        dual_sort(rdc, rng.permutation(8), trace=trace)
         labels = list(trace.labels())
         states = [trace.snapshot(l, 8) for l in labels]
         art = render_key_grid(states, labels, width=8)
