@@ -571,6 +571,11 @@ class _Evaluator:
     The serving workload (arrivals, pairs, horizon, checkpoints) and the
     lockstep oracle are built once, so every probe of the campaign sees
     the same world and verdicts are pure functions of the fault set.
+    Two things follow.  The workload is routed once: each distinct pair
+    is routed when the evaluator is built, and ``router`` looks its path
+    up in that table.  And verdicts are memoized per ``(slo, elements)``,
+    so a probe the shrink revisits is not simulated again; every request
+    still counts toward :attr:`evaluations`, memo hits included.
     """
 
     def __init__(
@@ -597,7 +602,9 @@ class _Evaluator:
         rate = 0.3 * n
         self.arrivals = poisson_arrivals(rate, requests, seed)
         self.pairs = open_loop_pairs(dc, requests, seed)
-        self.router = lambda u, v: route(dc, u, v)
+        table = {pair: route(dc, *pair) for pair in dict.fromkeys(self.pairs)}
+        self.router = lambda u, v: table[(u, v)]
+        self._verdicts: dict[tuple[SLO, tuple], tuple[bool, float | str]] = {}
         horizon = float(math.ceil(float(self.arrivals[-1])) + 10)
         self.horizon = horizon
         self.config = ServingConfig(
@@ -645,6 +652,13 @@ class _Evaluator:
     def violated(self, slo: SLO, elements: tuple) -> tuple[bool, float | str]:
         """Whether ``elements`` violates ``slo``; returns the observation."""
         self.evaluations += 1
+        key = (slo, elements)
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = self._verdicts[key] = self._judge(slo, elements)
+        return verdict
+
+    def _judge(self, slo: SLO, elements: tuple) -> tuple[bool, float | str]:
         if slo.kind == "availability":
             plan = plan_from_elements(self.dc, elements, seed=self.seed)
             avail = self._availability(self._serve(plan))

@@ -252,7 +252,8 @@ class FaultPlan:
 
     def down(self, rank: int, cycle: int) -> bool:
         """Whether ``rank`` is unavailable at ``cycle`` (crashed *or* offline)."""
-        if self.crashed(rank, cycle):
+        crash = self.node_crashes.get(rank)
+        if crash is not None and crash <= cycle:
             return True
         for start, end in self.downtimes.get(rank, ()):
             if start <= cycle < end:

@@ -50,6 +50,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.simulator.faults import FaultPlan
+from repro.simulator.traffic import _validated_path, random_pairs
 from repro.topology.base import Topology
 
 __all__ = [
@@ -167,8 +168,6 @@ def open_loop_pairs(
     topo: Topology, num: int, seed: int = 0
 ) -> list[tuple[int, int]]:
     """``num`` uniform self-excluding (src, dst) pairs for a workload."""
-    from repro.simulator.traffic import random_pairs
-
     rng = np.random.default_rng(seed)
     return random_pairs(topo.num_nodes, num, rng)
 
@@ -438,26 +437,6 @@ class _LinkQ:
         self.q_last_t = t
 
 
-def _validated_path(topo: Topology, router: Router, req_src, req_dst) -> tuple:
-    router_name = getattr(router, "__name__", repr(router))
-    raw = router(req_src, req_dst)
-    path = tuple(raw) if raw is not None else ()
-    if not path:
-        raise ValueError(
-            f"router {router_name} returned an empty path for pair "
-            f"({req_src}, {req_dst}) on {topo.name}; every pair must be "
-            f"routable (got {raw!r})"
-        )
-    if path[0] != req_src or path[-1] != req_dst:
-        raise ValueError(
-            f"router returned bad endpoints for ({req_src}, {req_dst})"
-        )
-    for a, b in zip(path, path[1:]):
-        if not topo.has_edge(a, b):
-            raise ValueError(f"router used non-edge ({a}, {b}) on {topo.name}")
-    return path
-
-
 def run_serving(
     topo: Topology,
     router: Router,
@@ -472,8 +451,11 @@ def run_serving(
 
     ``arrivals`` is a non-decreasing array of request arrival times and
     ``pairs`` the same-length sequence of (src, dst) pairs; request ``i``
-    arrives at ``arrivals[i]`` and is routed once by ``router`` (paths
-    are validated hop by hop, as in :func:`run_traffic`).
+    arrives at ``arrivals[i]``.  ``router`` is called once per distinct
+    pair per run, at that pair's first arrival, and its path — validated
+    hop by hop, as in :func:`run_traffic` — is reused by every later
+    request of the pair, so the router must be a pure function of the
+    pair.
 
     With a ``fault_plan``, each completed hop crossing is subject to the
     plan's deterministic drop schedule keyed by a global attempt counter
@@ -522,6 +504,18 @@ def run_serving(
     links: dict[tuple[int, int], _LinkQ] = {}
     load: Counter = Counter()
 
+    # The plan's structural faults: only these ranks can ever be down, and
+    # a link can be down only if one of its endpoints is among them or the
+    # plan cuts links.  Everywhere else ``down`` is False and ``link_up``
+    # is True, so the loop asks the plan only where the answer can vary.
+    if fault_plan is not None:
+        can_fail = frozenset(fault_plan.node_crashes).union(
+            fault_plan.downtimes
+        )
+        has_cuts = bool(fault_plan.link_cuts)
+    else:
+        can_fail, has_cuts = frozenset(), False
+
     # Aggregate counters.
     n_arrivals = n_completions = n_drops = n_misses = 0
     hops_served = path_hops = retransmissions = blocked_retries = 0
@@ -540,8 +534,10 @@ def run_serving(
         heapq.heappush(heap, (t, kind, seq, payload))
         seq += 1
 
-    # Pre-route each request lazily at arrival (routers may be stateful
-    # caches); requests beyond the horizon never arrive at all.
+    # Each pair is routed and validated lazily, at its first arrival, and
+    # reused by later arrivals of the same pair; requests beyond the
+    # horizon never arrive at all, so their pairs are never routed.
+    paths: dict[tuple[int, int], tuple] = {}
     for i, t in enumerate(times):
         if cfg.horizon is not None and t > cfg.horizon:
             break
@@ -643,15 +639,17 @@ def run_serving(
             if kind == _ARRIVE:
                 i = payload
                 src, dst = pairs[i]
-                path = _validated_path(topo, router, src, dst)
+                path = paths.get((src, dst))
+                if path is None:
+                    path = paths[(src, dst)] = _validated_path(
+                        topo, router, src, dst
+                    )
                 n_arrivals += 1
                 deadline = (
                     t + cfg.deadline if cfg.deadline is not None else None
                 )
                 req = _Request(i, t, src, dst, path, deadline)
-                if fault_plan is not None and fault_plan.down(
-                    src, cycle_of(t)
-                ):
+                if src in can_fail and fault_plan.down(src, cycle_of(t)):
                     # The ingress node is crashed or offline (downtime):
                     # the request is refused at admission and counts as a
                     # drop — the availability SLO's numerator.
@@ -689,7 +687,10 @@ def run_serving(
                 # crossing exactly like a transient drop: the attempt
                 # counter advanced, so drop-schedule verdicts for plans
                 # without structural faults are unchanged bit-for-bit.
-                or not fault_plan.link_up(a, b, cycle_of(t))
+                or (
+                    (has_cuts or a in can_fail or b in can_fail)
+                    and not fault_plan.link_up(a, b, cycle_of(t))
+                )
             ):
                 retransmissions += 1
                 req.tries += 1

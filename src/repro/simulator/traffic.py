@@ -140,6 +140,29 @@ def random_pairs(
     return out
 
 
+def _validated_path(topo: Topology, router: Router, u: int, v: int) -> tuple:
+    """``router(u, v)`` as a tuple, checked to be a ``u -> v`` walk of ``topo``.
+
+    Raises :class:`ValueError` on an empty path, wrong endpoints or a hop
+    that is not an edge.
+    """
+    raw = router(u, v)
+    path = tuple(raw) if raw is not None else ()
+    if not path:
+        router_name = getattr(router, "__name__", repr(router))
+        raise ValueError(
+            f"router {router_name} returned an empty path for pair "
+            f"({u}, {v}) on {topo.name}; every pair must be routable "
+            f"(got {raw!r})"
+        )
+    if path[0] != u or path[-1] != v:
+        raise ValueError(f"router returned bad endpoints for ({u}, {v})")
+    for a, b in zip(path, path[1:]):
+        if not topo.has_edge(a, b):
+            raise ValueError(f"router used non-edge ({a}, {b}) on {topo.name}")
+    return path
+
+
 def run_traffic(
     topo: Topology,
     router: Router,
@@ -150,7 +173,8 @@ def run_traffic(
     """Route every pair and aggregate hop/link-load statistics.
 
     Each traversed undirected link counts one unit of load per message
-    crossing it (either direction).  Paths are validated hop by hop.
+    crossing it (either direction).  Each path is validated hop by hop
+    before any of its crossings is counted.
 
     With a ``fault_plan``, each hop crossing is subject to the plan's
     deterministic drop schedule (keyed by a global attempt counter, so a
@@ -164,23 +188,9 @@ def run_traffic(
     path_hops = 0
     retransmissions = 0
     attempt = 0  # global attempt index: the "cycle" key for drop verdicts
-    router_name = getattr(router, "__name__", repr(router))
     for u, v in pairs:
-        raw = router(u, v)
-        path = list(raw) if raw is not None else []
-        if not path:
-            raise ValueError(
-                f"router {router_name} returned an empty path for pair "
-                f"({u}, {v}) on {topo.name}; every pair must be routable "
-                f"(got {raw!r})"
-            )
-        if path[0] != u or path[-1] != v:
-            raise ValueError(f"router returned bad endpoints for ({u}, {v})")
+        path = _validated_path(topo, router, u, v)
         for a, b in zip(path, path[1:]):
-            if not topo.has_edge(a, b):
-                raise ValueError(
-                    f"router used non-edge ({a}, {b}) on {topo.name}"
-                )
             link = (min(a, b), max(a, b))
             path_hops += 1
             tries = 0

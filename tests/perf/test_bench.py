@@ -241,6 +241,30 @@ class TestCli:
         assert "REGRESSIONS" in capsys.readouterr().out
 
 
+class TestCampaignCli:
+    def test_passing_gate_leaves_the_baseline_byte_identical(
+        self, tmp_path, capsys
+    ):
+        # --compare X --out X (the make bench-campaign-smoke idiom): a run
+        # that passes must not rewrite X with fresh wall times, so
+        # `make check` leaves the committed baselines untouched.
+        root = Path(__file__).resolve().parents[2]
+        baseline = tmp_path / "BENCH_campaign_smoke.json"
+        before = (root / "BENCH_campaign_smoke.json").read_bytes()
+        baseline.write_bytes(before)
+        argv = ["bench", "--backend", "campaign", "--smoke",
+                "--out", str(baseline), "--compare", str(baseline),
+                "--wall-factor", "1000"]
+        assert main(argv) == 0
+        assert baseline.read_bytes() == before
+        assert "baseline unchanged" in capsys.readouterr().out
+        # A different --out still gets the fresh run written.
+        other = tmp_path / "cur.json"
+        argv[argv.index("--out") + 1] = str(other)
+        assert main(argv) == 0
+        assert load_bench(other)["suite"] == "campaign"
+
+
 class TestColumnarBench:
     @pytest.fixture(scope="class")
     def columnar_payload(self):

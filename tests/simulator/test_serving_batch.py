@@ -7,19 +7,27 @@ unbounded queues, no deadlines — must serve exactly the hop crossings
 its derived aggregates: sum, max, mean, support) and identical
 ``path_hops``, with or without a fault plan.  That equality is what
 licenses reading E18's serving numbers alongside E11's batch numbers.
+The route-once suite pins that routing each pair once per run, asking
+the fault plan only where its answer can vary, and memoizing campaign
+verdicts leave every result unchanged.
 """
+
+import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from repro.routing import route
 from repro.simulator import FaultPlan
+from repro.simulator.campaign import SLO, _Evaluator, run_campaign
 from repro.simulator.serving import (
     ServingConfig,
     bfs_router,
     find_saturation,
     onoff_arrivals,
     open_loop_pairs,
+    poisson_arrivals,
     run_serving,
     trace_arrivals,
 )
@@ -313,3 +321,112 @@ class TestServingMembershipFaults:
         b = run_serving(dc, lambda u, v: route(dc, u, v), arrivals, pairs,
                         fault_plan=plan())
         assert repr(a) == repr(b)
+
+
+class TestRouteOnce:
+    """Routing once per pair and memoized verdicts change no result."""
+
+    def test_router_called_once_per_distinct_pair_per_run(self):
+        dc = DualCube(3)
+        distinct = open_loop_pairs(dc, 60, seed=4)
+        pairs = distinct * 3
+        arrivals = np.arange(len(pairs), dtype=np.float64) * 0.1
+        calls = Counter()
+
+        def counting(u, v):
+            calls[(u, v)] += 1
+            return route(dc, u, v)
+
+        first = run_serving(dc, counting, arrivals, pairs)
+        assert calls == Counter(set(distinct))
+        second = run_serving(dc, counting, arrivals, pairs)
+        assert calls == Counter({p: 2 for p in set(distinct)})
+        assert repr(first) == repr(second)
+        assert first.arrivals == len(pairs)
+
+    # sha256 of repr(ServingStats), recorded before run_serving hoisted
+    # its structural fault queries out of the event loop: asking the plan
+    # only about ranks it can take down (and links only when one of those
+    # is an endpoint or the plan cuts links) must not move a single field.
+    _PINNED = {
+        "none": "212f475468a2c323433fdcf6dcfe08d280d68c46e32e0017d38103135c43b9de",
+        "crash": "4b538f90f5ba9410063d197665721e89e41f3a81455cfddb9763f67b9148187d",
+        "cut": "6b4465f014b26dfdf2a46b676b4f1a649468cd49f3aeb26278e848cb0f08926c",
+        "down": "09139116a6ed2e551ff840f78a67061310433b3a31dda955cac98ba5f89e50ff",
+        "all": "f4e0e0e3e319c82c1725506df71372f0c1911ba4a633390c5e33b2166d8c76df",
+    }
+
+    @pytest.mark.parametrize("name", sorted(_PINNED))
+    def test_fault_plans_reproduce_pinned_stats(self, name):
+        dc = DualCube(3)
+        arrivals = poisson_arrivals(8.0, 320, 5)
+        pairs = open_loop_pairs(dc, 320, 5)
+        pairs = pairs[:160] + pairs[:160]
+        config = ServingConfig(
+            queue_capacity=4,
+            horizon=float(np.ceil(arrivals[-1]) + 10),
+            checkpoint_every=5.0,
+        )
+        edge = (0, 1)
+        assert dc.has_edge(*edge)
+        plan = {
+            "none": None,
+            "crash": FaultPlan(node_crashes={5: 10}),
+            "cut": FaultPlan(link_cuts={edge: 8}),
+            "down": FaultPlan(downtimes=[(3, 5, 20)]),
+            "all": FaultPlan(
+                node_crashes={5: 10}, link_cuts={edge: 8},
+                downtimes=[(3, 5, 20)], drop_rate=0.05, seed=3,
+            ),
+        }[name]
+        stats = run_serving(
+            dc, lambda u, v: route(dc, u, v), arrivals, pairs,
+            config=config, fault_plan=plan,
+        )
+        assert stats.conservation_ok()
+        digest = hashlib.sha256(repr(stats).encode()).hexdigest()
+        assert digest == self._PINNED[name]
+
+    def test_campaign_memo_counts_hits_and_judges_each_probe_once(
+        self, monkeypatch
+    ):
+        judged = []
+        judge = _Evaluator._judge
+
+        def counting(self, slo, elements):
+            judged.append((slo, elements))
+            return judge(self, slo, elements)
+
+        monkeypatch.setattr(_Evaluator, "_judge", counting)
+        result = run_campaign(2, seed=0)
+        assert len(judged) == len(set(judged))
+        # Memo hits still count: 46 requests for a verdict, 31 distinct.
+        assert (result.evaluations, len(judged)) == (46, 31)
+
+        ev = _Evaluator(
+            DualCube(2), seed=0, requests_per_node=20, correctness_timeout=5
+        )
+        slo = SLO("availability", "availability", 0.8)
+        probe = (("node", 1), ("node", 2))
+        first = ev.violated(slo, probe)
+        assert ev.violated(slo, probe) == first
+        assert ev.evaluations == 2
+        assert first == judge(ev, slo, probe)
+
+    def test_campaign_routes_each_distinct_pair_once(self, monkeypatch):
+        from repro.routing import dualcube_routing
+
+        calls = Counter()
+        real = dualcube_routing.route
+
+        def counting(dc, u, v):
+            calls[(u, v)] += 1
+            return real(dc, u, v)
+
+        monkeypatch.setattr(dualcube_routing, "route", counting)
+        ev = _Evaluator(
+            DualCube(2), seed=0, requests_per_node=20, correctness_timeout=5
+        )
+        assert calls == Counter(set(ev.pairs))
+        ev.violated(SLO("p99", "p99", 1.0), (("down", (1, ev.w0, ev.w1)),))
+        assert calls == Counter(set(ev.pairs))
