@@ -28,11 +28,20 @@ check-faults-smoke:
 timeline-smoke:
 	$(PYTHON) -m repro timeline --smoke
 
+## bench-smoke: core suite at small n, cost counters regression-gated
+## against the committed baseline (wide wall factor — only the
+## deterministic counters are meaningful gates on CI machines)
 bench-smoke:
-	$(PYTHON) -m repro bench --smoke --out BENCH_smoke.json
+	$(PYTHON) -m repro bench --smoke \
+		--out BENCH_smoke.json --compare BENCH_smoke.json \
+		--wall-factor 20
 
+## bench-faults-smoke: fault-injection suite at small n, cost counters
+## regression-gated against the committed baseline (same wall factor)
 bench-faults-smoke:
-	$(PYTHON) -m repro bench --faults --smoke --out BENCH_faults_smoke.json
+	$(PYTHON) -m repro bench --faults --smoke \
+		--out BENCH_faults_smoke.json --compare BENCH_faults_smoke.json \
+		--wall-factor 20
 
 ## bench-columnar-smoke: columnar backend at n=9 (131072 nodes), cost counters
 ## regression-gated against the committed baseline (wide wall factor — only

@@ -9,27 +9,27 @@ realizes the closed-form distance, which the tests verify against BFS.
 
 from __future__ import annotations
 
-from repro._bits import bit, flip_bit
 from repro.topology.dualcube import DualCube
 
 __all__ = ["dimension_order_route", "route", "route_length"]
 
 
-def _fix_field(dc: DualCube, u: int, target_bits: int, lo: int) -> list[int]:
-    """Greedy dimension-order walk equalizing the width-m field at ``lo``.
+def _fix_field(path: list[int], target: int, lo: int, m: int) -> int:
+    """Greedy dimension-order walk equalizing the width-``m`` field at ``lo``.
 
-    Returns the intermediate nodes visited (excluding ``u`` itself); the
-    walk flips the differing bits of the field low-to-high, staying inside
-    ``u``'s cluster (the field must be the node-ID field of ``u``'s class).
+    Appends the nodes visited after ``path[-1]`` and returns the last one;
+    the walk flips the field bits where ``path[-1]`` and ``target`` differ,
+    low to high, staying inside one cluster (the field must be the
+    node-ID field of ``path[-1]``'s class).
     """
-    m = dc.cluster_dim
-    walk = []
-    cur = u
-    for i in range(m):
-        if bit(cur >> lo, i) != bit(target_bits, i):
-            cur = flip_bit(cur, lo + i)
-            walk.append(cur)
-    return walk
+    cur = path[-1]
+    diff = ((cur ^ target) >> lo) & ((1 << m) - 1)
+    while diff:
+        low = diff & -diff
+        cur ^= low << lo
+        path.append(cur)
+        diff ^= low
+    return cur
 
 
 def dimension_order_route(dc: DualCube, u: int, v: int) -> list[int]:
@@ -43,51 +43,38 @@ def dimension_order_route(dc: DualCube, u: int, v: int) -> list[int]:
     * same class, different clusters — fix the node-ID field to ``v``'s
       *cluster*-determining bits, cross, fix the other field (now the
       node-ID field of the other class), cross back.
+
+    Nodes may be any integer type.
     """
     dc.check_node(u)
     dc.check_node(v)
     if u == v:
         return [u]
     m = dc.cluster_dim
-    cls_u, cls_v = dc.class_of(u), dc.class_of(v)
+    cross = 1 << dc.class_dimension
+    # The node-ID field starts at bit 0 in class 0 and at bit m in class 1.
+    lo_u = m if u & cross else 0
+    lo_v = m if v & cross else 0
     path = [u]
-    cur = u
-
-    if cls_u == cls_v and dc.cluster_id(u) == dc.cluster_id(v):
-        # Intra-cluster: node IDs differ only.
-        lo = 0 if cls_u == 0 else m
-        path.extend(_fix_field(dc, cur, (v >> lo), lo))
-        return path
-
-    if cls_u != cls_v:
-        # One cross-edge: equalize the bits the cross-edge preserves.
-        # u's node-ID field must match v's same-position field first.
-        lo_u = 0 if cls_u == 0 else m
-        path.extend(_fix_field(dc, cur, v >> lo_u, lo_u))
-        cur = path[-1]
-        cur = dc.cross_partner(cur)
-        path.append(cur)
-        lo_v = 0 if cls_v == 0 else m
-        # Remaining difference lies in v's node-ID field.
-        path.extend(_fix_field(dc, cur, v >> lo_v, lo_v))
-        return path
-
-    # Same class, different clusters: two cross-edges.
-    lo_u = 0 if cls_u == 0 else m
-    path.extend(_fix_field(dc, cur, v >> lo_u, lo_u))
-    cur = path[-1]
-    cur = dc.cross_partner(cur)
-    path.append(cur)
-    lo_mid = 0 if dc.class_of(cur) == 0 else m
-    path.extend(_fix_field(dc, cur, v >> lo_mid, lo_mid))
-    cur = path[-1]
-    cur = dc.cross_partner(cur)
-    path.append(cur)
+    cur = _fix_field(path, v, lo_u, m)
+    if (u ^ v) & cross:
+        # One cross-edge; the remaining difference lies in v's node-ID field.
+        path.append(cur ^ cross)
+        _fix_field(path, v, lo_v, m)
+    elif cur != v:
+        # Same class, different clusters: cross, fix the field that is the
+        # node-ID field of the other class, cross back.
+        path.append(cur ^ cross)
+        cur = _fix_field(path, v, m - lo_u, m)
+        path.append(cur ^ cross)
     return path
 
 
 def route(dc: DualCube, u: int, v: int, *, validate: bool = True) -> list[int]:
-    """Shortest path from ``u`` to ``v``; optionally re-checks every hop."""
+    """Shortest path from ``u`` to ``v``; optionally re-checks every hop.
+
+    Nodes may be any integer type (Python or NumPy).
+    """
     path = dimension_order_route(dc, u, v)
     if validate:
         for a, b in zip(path, path[1:]):

@@ -42,9 +42,11 @@ compares the dual-cube's knee against the hypercube's and metacube's).
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass, field
+from operator import index
 from typing import Callable, Sequence
 
 import numpy as np
@@ -397,16 +399,11 @@ _RETRY_INJECT = 2
 
 
 class _Request:
-    __slots__ = (
-        "rid", "t_arrive", "src", "dst", "path", "hop", "tries", "crossed",
-        "deadline",
-    )
+    __slots__ = ("t_arrive", "src", "path", "hop", "tries", "crossed", "deadline")
 
-    def __init__(self, rid, t_arrive, src, dst, path, deadline):
-        self.rid = rid
+    def __init__(self, t_arrive, src, path, deadline):
         self.t_arrive = t_arrive
         self.src = src
-        self.dst = dst
         self.path = path
         self.hop = 0          # index into path: current link is path[hop]->path[hop+1]
         self.tries = 0        # fault-drop retransmissions of the current hop
@@ -418,11 +415,12 @@ class _LinkQ:
     """One directed link: a single deterministic server plus FIFO buffer."""
 
     __slots__ = (
-        "queue", "current", "served", "busy_since", "busy_time",
+        "key", "queue", "current", "served", "busy_since", "busy_time",
         "q_area", "q_last_t", "max_queue",
     )
 
-    def __init__(self):
+    def __init__(self, key: tuple[int, int]):
+        self.key = key
         self.queue: deque = deque()
         self.current: _Request | None = None
         self.served = 0
@@ -450,7 +448,9 @@ def run_serving(
     """Serve an open-loop workload through ``topo`` and aggregate stats.
 
     ``arrivals`` is a non-decreasing array of request arrival times and
-    ``pairs`` the same-length sequence of (src, dst) pairs; request ``i``
+    ``pairs`` the same-length sequence of (src, dst) pairs (any integer
+    type, e.g. an ``(N, 2)`` integer array; nodes are taken as plain
+    ``int`` and a non-integer raises :class:`TypeError`); request ``i``
     arrives at ``arrivals[i]``.  ``router`` is called once per distinct
     pair per run, at that pair's first arrival, and its path — validated
     hop by hop, as in :func:`run_traffic` — is reused by every later
@@ -486,7 +486,8 @@ def run_serving(
     """
     cfg = config or ServingConfig()
     times = trace_arrivals(arrivals)
-    pairs = list(pairs)
+    # Plain int pairs: NumPy node IDs would leak into the stats' dict keys.
+    pairs = [(index(u), index(v)) for u, v in pairs]
     if len(pairs) != len(times):
         raise ValueError(
             f"arrivals and pairs must have equal length, got "
@@ -494,15 +495,18 @@ def run_serving(
         )
     service = cfg.service_time
     capacity = cfg.queue_capacity
+    horizon = cfg.horizon
+    stop = horizon if horizon is not None else math.inf  # the clock's end
+    deadline = cfg.deadline
     blocking = cfg.policy == "block"
-    if blocking and capacity is not None and cfg.horizon is None:
+    if blocking and capacity is not None and horizon is None:
         raise ValueError(
             "policy='block' with finite queue_capacity requires a horizon: "
             "cyclic backpressure can hold messages forever"
         )
 
     links: dict[tuple[int, int], _LinkQ] = {}
-    load: Counter = Counter()
+    load: dict[tuple[int, int], int] = {}  # undirected link -> attempts
 
     # The plan's structural faults: only these ranks can ever be down, and
     # a link can be down only if one of its endpoints is among them or the
@@ -522,98 +526,39 @@ def run_serving(
     attempt = 0  # global crossing-attempt index: the fault plan's cycle key
     sojourns: list[float] = []
     checkpoints: list[Checkpoint] = []
-    next_checkpoint = (
-        cfg.checkpoint_every if cfg.checkpoint_every is not None else None
-    )
+    next_checkpoint = cfg.checkpoint_every
 
-    heap: list = []
-    seq = 0
-
-    def push(t: float, kind: int, payload) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (t, kind, seq, payload))
-        seq += 1
+    # Events are (t, kind, seq, payload): the payload is the arrival's
+    # index, the retrying request or the departing link's queue.  Arrival
+    # times are non-decreasing and their seq rises, so the arrival list,
+    # cut at the horizon, is already a heap.
+    times = times[: int(np.searchsorted(times, stop, side="right"))]
+    heap = [(t, _ARRIVE, i, i) for i, t in enumerate(times.tolist())]
+    next_seq = itertools.count(len(heap)).__next__
+    heappush, heappop, floor = heapq.heappush, heapq.heappop, math.floor
 
     # Each pair is routed and validated lazily, at its first arrival, and
     # reused by later arrivals of the same pair; requests beyond the
     # horizon never arrive at all, so their pairs are never routed.
     paths: dict[tuple[int, int], tuple] = {}
-    for i, t in enumerate(times):
-        if cfg.horizon is not None and t > cfg.horizon:
-            break
-        push(float(t), _ARRIVE, i)
 
-    def cycle_of(t: float) -> int:
-        return int(math.floor(t)) + 1
-
-    def record_fault(t: float, kind: str, req: _Request, a=None, b=None):
+    def record_fault(t: float, kind: str, rank: int, a=None, b=None):
         if timeline is not None:
-            timeline.record_fault(
-                cycle_of(t), kind, rank=req.src, src=a, dst=b
-            )
+            timeline.record_fault(floor(t) + 1, kind, rank=rank, src=a, dst=b)
 
-    def link_of(req: _Request) -> tuple[int, int]:
-        return (req.path[req.hop], req.path[req.hop + 1])
-
-    def get_link(key: tuple[int, int]) -> _LinkQ:
-        lq = links.get(key)
-        if lq is None:
-            lq = links[key] = _LinkQ()
-        return lq
-
-    def start_service(key: tuple[int, int], lq: _LinkQ, req: _Request, t: float):
+    def start_service(lq: _LinkQ, req: _Request, t: float):
         lq.current = req
         lq.busy_since = t
         dt = service
         if fault_plan is not None:
-            dt += fault_plan.issue_delay(req.path[req.hop], cycle_of(t)) * service
-        push(t + dt, _DEPART, key)
-
-    def finish_request(req: _Request, t: float) -> None:
-        nonlocal n_completions, n_misses
-        sojourn = t - req.t_arrive
-        sojourns.append(sojourn)
-        if req.deadline is not None and t > req.deadline:
-            n_misses += 1
-            record_fault(t, "timeout", req)
-        else:
-            n_completions += 1
-
-    def offer(req: _Request, t: float) -> bool:
-        """Try to place ``req`` on its current link; False when full."""
-        key = link_of(req)
-        lq = get_link(key)
-        if lq.current is None:
-            start_service(key, lq, req, t)
-            return True
-        if capacity is not None and len(lq.queue) >= capacity:
-            return False
-        lq.note_queue_change(t)
-        lq.queue.append(req)
-        if len(lq.queue) > lq.max_queue:
-            lq.max_queue = len(lq.queue)
-        return True
-
-    def free_server(key: tuple[int, int], lq: _LinkQ, t: float) -> None:
-        lq.busy_time += t - lq.busy_since
-        lq.current = None
-        if lq.queue:
-            lq.note_queue_change(t)
-            nxt = lq.queue.popleft()
-            start_service(key, lq, nxt, t)
-
-    def drop_request(req: _Request, t: float, a: int, b: int) -> None:
-        nonlocal n_drops
-        n_drops += 1
-        record_fault(t, "drop", req, a, b)
+            dt += fault_plan.issue_delay(req.path[req.hop], floor(t) + 1) * service
+        heappush(heap, (t + dt, _DEPART, next_seq(), lq))
 
     def take_checkpoint(upto: float) -> None:
         nonlocal next_checkpoint
         if next_checkpoint is None:
             return
-        while next_checkpoint <= upto and (
-            cfg.horizon is None or next_checkpoint <= cfg.horizon
-        ):
+        while next_checkpoint <= upto and next_checkpoint <= stop:
             in_flight = n_arrivals - n_completions - n_drops - n_misses
             checkpoints.append(
                 Checkpoint(
@@ -627,113 +572,140 @@ def run_serving(
             )
             next_checkpoint += cfg.checkpoint_every
 
+    # One flat loop.  An arrival or injection retry offers its request to
+    # the first link of its path; a departure either retransmits in place
+    # or finishes, drops or hands the request off to the next link, and
+    # then (unless backpressure holds it) releases the upstream server.
     last_t = 0.0
     while heap:
-        t, kind, _, payload = heapq.heappop(heap)
-        if cfg.horizon is not None and t > cfg.horizon:
+        t, kind, _, payload = heappop(heap)
+        if t > stop:
             break
-        take_checkpoint(t)
+        if next_checkpoint is not None and next_checkpoint <= t:
+            take_checkpoint(t)
         last_t = t
 
-        if kind == _ARRIVE or kind == _RETRY_INJECT:
-            if kind == _ARRIVE:
-                i = payload
-                src, dst = pairs[i]
-                path = paths.get((src, dst))
-                if path is None:
-                    path = paths[(src, dst)] = _validated_path(
-                        topo, router, src, dst
+        if kind == _DEPART:
+            # The link queue `payload` finished one service period.
+            up = payload
+            req = up.current
+            if not req.crossed:
+                # This completion is a genuine crossing attempt.
+                a, b = up.key
+                attempt += 1
+                link = (a, b) if a < b else (b, a)
+                load[link] = load.get(link, 0) + 1
+                up.served += 1
+                hops_served += 1
+                if fault_plan is not None and (
+                    fault_plan.dropped(a, b, attempt)
+                    # A cut link or a down endpoint (crash/downtime) loses
+                    # the crossing exactly like a transient drop: the
+                    # attempt counter advanced, so drop-schedule verdicts
+                    # for plans without structural faults are unchanged
+                    # bit-for-bit.
+                    or (
+                        (has_cuts or a in can_fail or b in can_fail)
+                        and not fault_plan.link_up(a, b, floor(t) + 1)
                     )
-                n_arrivals += 1
-                deadline = (
-                    t + cfg.deadline if cfg.deadline is not None else None
-                )
-                req = _Request(i, t, src, dst, path, deadline)
-                if src in can_fail and fault_plan.down(src, cycle_of(t)):
-                    # The ingress node is crashed or offline (downtime):
-                    # the request is refused at admission and counts as a
-                    # drop — the availability SLO's numerator.
-                    drop_request(req, t, src, src)
-                    continue
-                if len(path) == 1:
-                    finish_request(req, t)
-                    continue
-            else:
-                req = payload
-            if not offer(req, t):
-                if blocking:
-                    blocked_retries += 1
-                    push(t + service, _RETRY_INJECT, req)
+                ):
+                    retransmissions += 1
+                    req.tries += 1
+                    record_fault(t, "drop", req.src, a, b)
+                    if req.tries <= fault_plan.max_retries:
+                        start_service(up, req, t)  # retransmit in place
+                        continue
+                    n_drops += 1
+                    record_fault(t, "drop", req.src, a, b)
+                    req = None
                 else:
-                    a, b = link_of(req)
-                    drop_request(req, t, a, b)
-            continue
-
-        # _DEPART: the link finished one service period.
-        key = payload
-        lq = links[key]
-        req = lq.current
-        a, b = key
-
-        if not req.crossed:
-            # This completion is a genuine crossing attempt.
-            attempt += 1
-            load[(min(a, b), max(a, b))] += 1
-            lq.served += 1
-            hops_served += 1
-            if fault_plan is not None and (
-                fault_plan.dropped(a, b, attempt)
-                # A cut link or a down endpoint (crash/downtime) loses the
-                # crossing exactly like a transient drop: the attempt
-                # counter advanced, so drop-schedule verdicts for plans
-                # without structural faults are unchanged bit-for-bit.
-                or (
-                    (has_cuts or a in can_fail or b in can_fail)
-                    and not fault_plan.link_up(a, b, cycle_of(t))
-                )
-            ):
-                retransmissions += 1
-                req.tries += 1
-                record_fault(t, "drop", req, a, b)
-                if req.tries > fault_plan.max_retries:
-                    drop_request(req, t, a, b)
-                    free_server(key, lq, t)
+                    path_hops += 1
+                    req.crossed = True
+                    if timeline is not None:
+                        timeline.record_message(floor(t) + 1, a, b, 1, "send")
+            if req is not None:
+                if req.hop + 2 < len(req.path):
+                    # Hand off to the next link on the path.
+                    req.hop += 1
+                    req.tries = 0
+                    req.crossed = False
                 else:
-                    start_service(key, lq, req, t)  # retransmit in place
+                    sojourns.append(t - req.t_arrive)
+                    if req.deadline is not None and t > req.deadline:
+                        n_misses += 1
+                        record_fault(t, "timeout", req.src)
+                    else:
+                        n_completions += 1
+                    req = None
+        elif kind == _ARRIVE:
+            up = None
+            pair = pairs[payload]
+            path = paths.get(pair)
+            if path is None:
+                path = paths[pair] = _validated_path(topo, router, *pair)
+            n_arrivals += 1
+            src = pair[0]
+            if src in can_fail and fault_plan.down(src, floor(t) + 1):
+                # The ingress node is crashed or offline (downtime): the
+                # request is refused at admission and counts as a drop —
+                # the availability SLO's numerator.
+                n_drops += 1
+                record_fault(t, "drop", src, src, src)
                 continue
-            path_hops += 1
-            req.crossed = True
-            if timeline is not None:
-                timeline.record_message(cycle_of(t), a, b, 1, "send")
+            if len(path) == 1:
+                # A self-pair finishes on arrival, on time.
+                sojourns.append(0.0)
+                n_completions += 1
+                continue
+            req = _Request(
+                t, src, path, t + deadline if deadline is not None else None
+            )
+        else:  # _RETRY_INJECT
+            up = None
+            req = payload
 
-        if req.hop + 2 >= len(req.path):
-            finish_request(req, t)
-            free_server(key, lq, t)
-            continue
+        if req is not None:
+            # Offer the request to its current link.
+            key = (req.path[req.hop], req.path[req.hop + 1])
+            lq = links.get(key)
+            if lq is None:
+                lq = links[key] = _LinkQ(key)
+            if lq.current is None:
+                start_service(lq, req, t)
+            elif capacity is None or len(lq.queue) < capacity:
+                lq.note_queue_change(t)
+                lq.queue.append(req)
+                if len(lq.queue) > lq.max_queue:
+                    lq.max_queue = len(lq.queue)
+            elif blocking:
+                blocked_retries += 1
+                if up is None:
+                    # A blocked injection waits at the source.
+                    heappush(heap, (t + service, _RETRY_INJECT, next_seq(), req))
+                    continue
+                # Hold the server and re-offer downstream after a service time.
+                req.hop -= 1
+                req.crossed = True
+                heappush(heap, (t + service, _DEPART, next_seq(), up))
+                continue
+            else:
+                n_drops += 1
+                record_fault(t, "drop", req.src, key[0], key[1])
 
-        # Hand off to the next link on the path.
-        req.hop += 1
-        req.tries = 0
-        req.crossed = False
-        if offer(req, t):
-            free_server(key, lq, t)
-        elif blocking:
-            # Hold the server and re-offer downstream after a service time.
-            blocked_retries += 1
-            req.hop -= 1
-            req.crossed = True
-            push(t + service, _DEPART, key)
-        else:
-            nk = link_of(req)
-            drop_request(req, t, nk[0], nk[1])
-            free_server(key, lq, t)
+        if up is not None:
+            # Release the upstream server to its next waiting message.
+            up.busy_time += t - up.busy_since
+            up.current = None
+            if up.queue:
+                up.note_queue_change(t)
+                start_service(up, up.queue.popleft(), t)
 
     # The observation window is the *full* configured horizon: the run is
     # open-loop, so a drained event heap just means the tail of the window
     # was idle — idle time still counts toward utilization/goodput, and
     # checkpoints scheduled after the last event must still be emitted.
     # (Without a horizon the window ends at the last event, as before.)
-    elapsed = cfg.horizon if cfg.horizon is not None else last_t
+    elapsed = horizon if horizon is not None else last_t
     take_checkpoint(elapsed)
     if timeline is not None and elapsed > 0:
         timeline.set_cycles(int(math.ceil(elapsed)))
@@ -741,10 +713,12 @@ def run_serving(
     in_flight = n_arrivals - n_completions - n_drops - n_misses
     sojourns.sort()
     occupancy = {}
-    for key, lq in sorted(links.items()):
+    for key in sorted(links):
+        lq = links[key]
         if lq.current is not None:  # still busy at the horizon
             lq.busy_time += max(0.0, elapsed - lq.busy_since)
-        lq.q_area += len(lq.queue) * max(0.0, elapsed - lq.q_last_t)
+        if lq.queue:  # still waiting at the horizon
+            lq.q_area += len(lq.queue) * max(0.0, elapsed - lq.q_last_t)
         occupancy[key] = LinkOccupancy(
             utilization=(lq.busy_time / elapsed) if elapsed > 0 else 0.0,
             mean_queue=(lq.q_area / elapsed) if elapsed > 0 else 0.0,
@@ -771,7 +745,7 @@ def run_serving(
         path_hops=path_hops,
         retransmissions=retransmissions,
         blocked_retries=blocked_retries,
-        link_loads=dict(load),
+        link_loads=load,
         occupancy=occupancy,
         checkpoints=tuple(checkpoints),
     )

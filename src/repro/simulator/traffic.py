@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import index
 from typing import Callable, Sequence
 
 import numpy as np
@@ -182,7 +183,12 @@ def run_traffic(
     crossing is retransmitted — the failed attempt still loads the link
     and counts toward ``total_hops`` but not ``path_hops`` — bounded per
     hop by the plan's ``max_retries``.
+
+    ``pairs`` may hold any integer type, e.g. an ``(N, 2)`` integer array;
+    each node is taken as a plain ``int`` and a non-integer raises
+    :class:`TypeError`.
     """
+    pairs = [(index(u), index(v)) for u, v in pairs]
     load: Counter = Counter()
     total_hops = 0
     path_hops = 0

@@ -28,7 +28,6 @@ from repro._bits import (
     extract_field_v,
     flip_bit,
     flip_bit_v,
-    hamming,
     mask,
 )
 from repro.topology.base import DimensionedTopology
@@ -62,6 +61,8 @@ class DualCube(DimensionedTopology):
         self._m = n - 1  # cluster (hyper)cube dimension and field width
         self._bits = 2 * n - 1
         self._class_bit = self._bits - 1
+        self._num_nodes = 1 << self._bits
+        self._cross = 1 << self._class_bit  # the cross-edge XOR difference
 
     # -- basic shape --------------------------------------------------------
 
@@ -81,7 +82,7 @@ class DualCube(DimensionedTopology):
 
     @property
     def num_nodes(self) -> int:
-        return 1 << self._bits
+        return self._num_nodes
 
     @property
     def num_dimensions(self) -> int:
@@ -178,17 +179,18 @@ class DualCube(DimensionedTopology):
         return tuple(nbrs)
 
     def has_edge(self, u: int, v: int) -> bool:
-        self.check_node(u)
-        self.check_node(v)
+        """Whether ``{u, v}`` is an edge; nodes may be any integer type."""
+        num = self._num_nodes
+        if not (0 <= u < num and 0 <= v < num):
+            self.check_node(u)
+            self.check_node(v)
         diff = u ^ v
-        if diff == 0 or (diff & (diff - 1)) != 0:
+        if diff == 0 or diff & (diff - 1):
             return False  # not exactly one differing bit
-        i = diff.bit_length() - 1
-        if i == self._class_bit:
+        if diff == self._cross:
             return True
-        if i <= self._m - 1:
-            return bit(u, self._class_bit) == 0
-        return bit(u, self._class_bit) == 1
+        # Intra-cluster: part I for class 0, part II for class 1.
+        return (diff < (1 << self._m)) == (u < self._cross)
 
     def has_dimension_link(self, u: int, d: int) -> bool:
         self.check_node(u)
@@ -207,18 +209,19 @@ class DualCube(DimensionedTopology):
         Hamming distance when ``u`` and ``v`` are in one cluster or in
         clusters of distinct classes; Hamming distance + 2 when in two
         distinct clusters of the same class (one hop to enter the other
-        class and one to leave it).
+        class and one to leave it).  Nodes may be any integer type.
         """
-        self.check_node(u)
-        self.check_node(v)
-        if u == v:
-            return 0
-        h = hamming(u, v)
-        if self.class_of(u) != self.class_of(v):
-            return h
-        if self.cluster_id(u) == self.cluster_id(v):
-            return h
-        return h + 2
+        num = self._num_nodes
+        if not (0 <= u < num and 0 <= v < num):
+            self.check_node(u)
+            self.check_node(v)
+        diff = int(u ^ v)
+        h = diff.bit_count()
+        if diff >> self._class_bit:
+            return h  # distinct classes
+        # Same class: the cluster ID is part II for class 0, part I for class 1.
+        cluster_lo = self._m if u < self._cross else 0
+        return h + 2 if (diff >> cluster_lo) & mask(self._m) else h
 
     def diameter(self) -> int:
         """Closed-form diameter: 2n for n >= 2, 1 for the degenerate D_1."""

@@ -131,12 +131,13 @@ class Metacube(DimensionedTopology):
         return tuple(nbrs)
 
     def has_edge(self, u: int, v: int) -> bool:
+        """Whether ``{u, v}`` is an edge; nodes may be any integer type."""
         self.check_node(u)
         self.check_node(v)
         diff = u ^ v
         if diff == 0 or (diff & (diff - 1)) != 0:
             return False
-        d = diff.bit_length() - 1
+        d = int(diff).bit_length() - 1
         return self.has_dimension_link(u, d)
 
     def has_dimension_link(self, u: int, d: int) -> bool:

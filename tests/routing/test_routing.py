@@ -1,5 +1,6 @@
 """Tests for dual-cube shortest-path routing."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -103,3 +104,71 @@ class TestRouteShape:
         for u in range(0, dc.num_nodes, 13):
             for v in range(0, dc.num_nodes, 17):
                 assert route_length(dc, u, v) <= dc.diameter()
+
+
+def _reference_route(dc, u, v):
+    """The per-bit dimension-order walk, spelled with the field accessors.
+
+    The routing module computes the same walk with whole-field XOR
+    arithmetic; this reference pins that the produced path is unchanged.
+    """
+    m = dc.cluster_dim
+
+    def fix(path, lo):
+        for i in range(m):
+            if (path[-1] >> (lo + i)) & 1 != (v >> (lo + i)) & 1:
+                path.append(path[-1] ^ (1 << (lo + i)))
+
+    def node_lo(w):
+        return 0 if dc.class_of(w) == 0 else m
+
+    path = [u]
+    fix(path, node_lo(u))
+    if dc.class_of(u) != dc.class_of(v):
+        path.append(dc.cross_partner(path[-1]))
+        fix(path, node_lo(v))
+    elif dc.cluster_id(u) != dc.cluster_id(v):
+        path.append(dc.cross_partner(path[-1]))
+        fix(path, node_lo(path[-1]))
+        path.append(dc.cross_partner(path[-1]))
+    return path
+
+
+class TestPrimitiveContract:
+    """The router and its node checks, exhaustively on D_1-D_4.
+
+    ``has_edge`` and ``distance`` against ``neighbors`` and BFS live in
+    ``tests/topology/test_dualcube.py``.
+    """
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_route_matches_per_bit_reference(self, n):
+        dc = DualCube(n)
+        for u in dc.nodes():
+            for v in dc.nodes():
+                assert dimension_order_route(dc, u, v) == _reference_route(
+                    dc, u, v
+                ), (u, v)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_bad_nodes_raise_check_node_message(self, n):
+        dc = DualCube(n)
+        for bad in (-1, -dc.num_nodes, dc.num_nodes, dc.num_nodes + 5):
+            with pytest.raises(ValueError) as expected:
+                dc.check_node(bad)
+            message = str(expected.value)
+            for good in (0, dc.num_nodes - 1):
+                for fn in (dc.has_edge, dc.distance, dimension_order_route):
+                    args = (dc,) if fn is dimension_order_route else ()
+                    for pair in ((bad, good), (good, bad)):
+                        with pytest.raises(ValueError) as got:
+                            fn(*args, *pair)
+                        assert str(got.value) == message, (fn, pair)
+
+    def test_numpy_integer_nodes(self):
+        dc = DualCube(3)
+        for u in (0, 5, 17, 31):
+            for v in (0, 3, 18, 30):
+                nu, nv = np.int64(u), np.int64(v)
+                assert dc.distance(nu, nv) == dc.distance(u, v)
+                assert route(dc, nu, nv) == route(dc, u, v)

@@ -9,15 +9,19 @@ its derived aggregates: sum, max, mean, support) and identical
 licenses reading E18's serving numbers alongside E11's batch numbers.
 The route-once suite pins that routing each pair once per run, asking
 the fault plan only where its answer can vary, and memoizing campaign
-verdicts leave every result unchanged.
+verdicts leave every result unchanged; the event-loop suite pins the
+queueing paths (backpressure, deadlines, service delays, timeline events)
+and the integer-pair suite checks that NumPy node IDs serve identically.
 """
 
 import hashlib
+import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from repro.obs.timeline import TimelineRecorder
 from repro.routing import route
 from repro.simulator import FaultPlan
 from repro.simulator.campaign import SLO, _Evaluator, run_campaign
@@ -35,7 +39,7 @@ from repro.simulator.traffic import (
     hypercube_dimension_order_path,
     run_traffic,
 )
-from repro.topology import DualCube, Hypercube, Metacube
+from repro.topology import DualCube, Hypercube, Metacube, RecursiveDualCube
 
 
 def _closed_batch(topo, router, pairs, *, plan=None):
@@ -430,3 +434,143 @@ class TestRouteOnce:
         assert calls == Counter(set(ev.pairs))
         ev.violated(SLO("p99", "p99", 1.0), (("down", (1, ev.w0, ev.w1)),))
         assert calls == Counter(set(ev.pairs))
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+def _serve_dc(dc, arrivals, pairs, **kw):
+    return run_serving(dc, lambda u, v: route(dc, u, v), arrivals, pairs, **kw)
+
+
+class TestEventLoopPinned:
+    """The event-loop paths the route-once digests above do not reach.
+
+    Every digest below was computed at the commit that preceded the
+    flat-event-loop rewrite of :func:`run_serving`, before any source edit,
+    so each pins that the rewrite moved no field of any result.
+    """
+
+    _PINNED = {
+        "block": "e9a8eb2728b621ac78898434e9be18523a4d7a6233c1481d67384cfb45894325",
+        "deadline": "48540bac24942dee8c66761de67a0955514528448e7ade6b796fe376be6020b2",
+        "delay": "7f5ac2321d18e6fd5817444035e20479c1de6ae6787b0dfd9a1607cc3a66feec",
+        "d5-drop": "5caec653a10466addf953d4fe7d7761e372af60219410a77bde7374a2861d2e0",
+        "timeline": "a18a58745a26d7048747f6776affaa24ab3b54ad8056769cef18b946bfe138be",
+    }
+
+    def test_block_policy_with_capacity_and_horizon(self):
+        # Overloaded single-slot buffers: injections wait at the source
+        # (_RETRY_INJECT) and hand-offs hold their upstream server.
+        dc = DualCube(3)
+        arrivals = poisson_arrivals(24.0, 400, 11)
+        pairs = open_loop_pairs(dc, 400, 11)
+        config = ServingConfig(
+            queue_capacity=1, policy="block",
+            horizon=float(np.ceil(arrivals[-1]) + 10),
+        )
+        stats = _serve_dc(dc, arrivals, pairs, config=config)
+        assert stats.blocked_retries > 0 and stats.in_flight > 0
+        assert stats.conservation_ok()
+        assert _digest(stats) == self._PINNED["block"]
+
+    def test_deadlines_miss(self):
+        dc = DualCube(3)
+        arrivals = poisson_arrivals(16.0, 400, 12)
+        pairs = open_loop_pairs(dc, 400, 12)
+        stats = _serve_dc(
+            dc, arrivals, pairs, config=ServingConfig(deadline=4.0)
+        )
+        assert stats.deadline_misses > 0 and stats.completions > 0
+        assert _digest(stats) == self._PINNED["deadline"]
+
+    def test_delay_plan_stretches_service(self):
+        dc = DualCube(3)
+        arrivals = poisson_arrivals(16.0, 400, 12)
+        pairs = open_loop_pairs(dc, 400, 12)
+        config = ServingConfig(queue_capacity=4)
+        plan = FaultPlan(delay_rate=0.2, max_delay=3, seed=7)
+        stats = _serve_dc(dc, arrivals, pairs, config=config, fault_plan=plan)
+        plain = _serve_dc(dc, arrivals, pairs, config=config)
+        assert stats.p99 > plain.p99
+        assert _digest(stats) == self._PINNED["delay"]
+
+    def test_d5_drop_policy_shaped_like_serve_d6(self):
+        # Poisson arrivals at 0.6 requests per node per service time,
+        # uniform self-excluding pairs, capacity 8, 50 time units of slack.
+        dc = DualCube(5)
+        rng = np.random.default_rng(3)
+        nodes, num = dc.num_nodes, 1500
+        arrivals = np.cumsum(rng.exponential(1.0 / (0.6 * nodes), size=num))
+        src = rng.integers(0, nodes, size=num)
+        dst = (src + rng.integers(1, nodes, size=num)) % nodes
+        pairs = list(zip(src.tolist(), dst.tolist()))
+        config = ServingConfig(
+            queue_capacity=8, policy="drop",
+            horizon=float(math.ceil(arrivals[-1]) + 50),
+        )
+        stats = _serve_dc(dc, arrivals, pairs, config=config)
+        assert stats.arrivals == num and stats.conservation_ok()
+        assert _digest(stats) == self._PINNED["d5-drop"]
+
+    def test_timeline_event_stream(self):
+        dc = DualCube(3)
+        arrivals = poisson_arrivals(16.0, 300, 13)
+        pairs = open_loop_pairs(dc, 300, 13)
+        recorder = TimelineRecorder(dc.num_nodes)
+        _serve_dc(
+            dc, arrivals, pairs,
+            config=ServingConfig(queue_capacity=2, deadline=5.0),
+            fault_plan=FaultPlan(drop_rate=0.05, seed=3),
+            timeline=recorder,
+        )
+        counts = recorder.fault_counts()
+        assert counts["drop"] > 0 and counts["timeout"] > 0
+        stream = (recorder.events, recorder.faults, recorder.num_cycles)
+        assert _digest(stream) == self._PINNED["timeline"]
+
+
+class TestIntegerPairs:
+    """Pairs given as an ``(N, 2)`` integer array serve like int tuples."""
+
+    _TOPOLOGIES = {
+        "D_3": lambda: DualCube(3),
+        "RD_3": lambda: RecursiveDualCube(3),
+        "MC(1,2)": lambda: Metacube(1, 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(_TOPOLOGIES))
+    def test_has_edge_accepts_numpy_integers(self, name):
+        topo = self._TOPOLOGIES[name]()
+        for u in range(0, topo.num_nodes, 3):
+            for v in topo.neighbors(u) + (u, (u + 5) % topo.num_nodes):
+                expected = topo.has_edge(u, v)
+                for cast in (np.int64, np.int32, np.uint16):
+                    assert topo.has_edge(cast(u), cast(v)) == expected
+
+    @pytest.mark.parametrize("name", sorted(_TOPOLOGIES))
+    def test_ndarray_pairs_match_tuple_pairs(self, name):
+        topo = self._TOPOLOGIES[name]()
+        if name == "D_3":
+            router = lambda u, v: route(topo, u, v)
+        else:
+            router = bfs_router(topo)
+        pairs = open_loop_pairs(topo, 120, seed=2)
+        array = np.array(pairs, dtype=np.int64)
+        arrivals = poisson_arrivals(4.0, len(pairs), 2)
+        config = ServingConfig(queue_capacity=3, deadline=6.0)
+        as_tuples = run_serving(topo, router, arrivals, pairs, config=config)
+        as_array = run_serving(topo, router, arrivals, array, config=config)
+        assert repr(as_array) == repr(as_tuples)
+        assert run_traffic(topo, router, array) == run_traffic(
+            topo, router, pairs
+        )
+
+    def test_float_node_ids_raise_type_error(self):
+        dc = DualCube(2)
+        router = lambda u, v: route(dc, u, v)
+        with pytest.raises(TypeError):
+            run_serving(dc, router, [0.0], [(0.0, 1)])
+        with pytest.raises(TypeError):
+            run_traffic(dc, router, np.array([[0.0, 1.0]]))

@@ -139,7 +139,9 @@ class TestAdjacency:
                         expect = hamming(a, b) == 1  # node-ID Hamming
                         assert dc.has_edge(members[a], members[b]) == expect
 
-    def test_has_edge_matches_neighbors(self, dc):
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_has_edge_matches_neighbors(self, n):
+        dc = DualCube(n)
         for u in dc.nodes():
             nbrs = set(dc.neighbors(u))
             for v in dc.nodes():
@@ -178,7 +180,9 @@ class TestAdjacency:
 
 
 class TestDistance:
-    def test_distance_matches_bfs_exhaustive(self, dc):
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_distance_matches_bfs_exhaustive(self, n):
+        dc = DualCube(n)
         dist = bfs_distances(dc, list(dc.nodes()))
         for u in dc.nodes():
             for v in dc.nodes():
